@@ -163,6 +163,10 @@ def nyldon_comma_free_table(k_max: int, n_max: int) -> dict[tuple[int, int], boo
         alphabet = Alphabet(k)
         for n in range(1, n_max + 1):
             verdict = is_comma_free_uniform(nyldon_code(alphabet, n), n)
-            assert verdict.holds == nyldon_comma_free_classification(k, n), (k, n)
+            if verdict.holds != nyldon_comma_free_classification(k, n):
+                raise AssertionError(
+                    f"computed comma-free verdict {verdict.holds} for k={k}, n={n}"
+                    " contradicts the classification"
+                )
             table[k, n] = verdict.holds
     return table

@@ -65,26 +65,26 @@ def enumerate_nyldon(alphabet: Alphabet, max_len: int) -> list[Word]:
     Stateless filter of every word through is_nyldon; nothing is
     memoized across lengths.
     """
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
     return [w for w in alphabet.words_upto(max_len) if is_nyldon(w)]
 
 
 def longest_nyldon_suffix(w: Word, proper: bool = False) -> Word:
     """The longest Nyldon suffix of w.
 
-    With proper=False this is the last factor of nyldon_factorize(w),
-    which equals w itself iff w is Nyldon.  With proper=True it is the
-    longest Nyldon suffix strictly shorter than w, found by scanning
-    suffixes longest first; that needs |w| >= 2 and always succeeds
-    because the final letter is Nyldon.
+    The last factor of nyldon_factorize(w) is the longest Nyldon suffix
+    of w, so with proper=False that factor is returned; it equals w
+    itself iff w is Nyldon.  With proper=True the answer is the longest
+    Nyldon suffix of w[1:], the last factor of its factorization; that
+    needs |w| >= 2.
     """
     if not w:
         raise ValueError("the empty word has no Nyldon suffix")
     if proper:
         if len(w) < 2:
             raise ValueError("a single letter has no proper Nyldon suffix")
-        for i in range(1, len(w)):
-            if is_nyldon(w[i:]):
-                return w[i:]
+        w = w[1:]
     return nyldon_factorize(w)[-1]
 
 
@@ -110,13 +110,6 @@ def standard_factorization(w: Word) -> StandardFactorization:
         raise ValueError("not a Nyldon word")
     right = longest_nyldon_suffix(w, proper=True)
     return StandardFactorization(w[: len(w) - len(right)], right)
-
-
-def check_prefix_constraint(w: Word) -> bool:
-    """For a Nyldon word of length >= 2: the first letter exceeds the
-    second.  Assertion helper; on Nyldon input the result is always True
-    (a word starting with a nondescent splits at its first position)."""
-    return w[0] > w[1]
 
 
 def is_forbidden_prefix_upto(prefix: Word, max_len: int, alphabet: Alphabet) -> bool:

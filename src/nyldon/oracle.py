@@ -142,13 +142,16 @@ def necklace_count(k: int, n: int) -> int:
     derives from it.
     """
     total = sum(_moebius(d) * k ** (n // d) for d in range(1, n + 1) if n % d == 0)
-    assert total % n == 0
+    if total % n:
+        raise AssertionError(f"necklace sum {total} for k={k}, n={n} is not a multiple of n")
     return total // n
 
 
 def count_by_length(family: str, alphabet: Alphabet, n_max: int) -> list[int]:
     """Per-length counts of the family's words over the alphabet,
     lengths 1..n_max (index 0 is length 1), by plain enumeration."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     enum = {"lyndon": enumerate_lyndon, "nyldon": enumerate_nyldon}[family]
     counts = [0] * n_max
     for w in enum(alphabet, n_max):
@@ -168,7 +171,7 @@ def counting_bijection(alphabet: Alphabet, n: int) -> dict[Word, Word]:
     repeated images), sort the images nondecreasingly and concatenate.
     The image sequence is then the unique nondecreasing Nyldon
     factorization of the result, so the image has at least two factors
-    and is non-Nyldon.  Bijectivity is asserted, not proved here.
+    and is non-Nyldon.  Bijectivity is checked, not proved here.
     """
     if n < 2:
         raise ValueError("needs length >= 2")
@@ -178,7 +181,11 @@ def counting_bijection(alphabet: Alphabet, n: int) -> dict[Word, Word]:
             (w for w in alphabet.words_of_length(d) if is_lyndon(w)), reverse=True
         )
         nyldon_d = sorted(w for w in alphabet.words_of_length(d) if is_nyldon(w))
-        assert len(lyndon_d) == len(nyldon_d)
+        if len(lyndon_d) != len(nyldon_d):
+            raise AssertionError(
+                f"{len(lyndon_d)} Lyndon but {len(nyldon_d)} Nyldon words of length {d}"
+                f" over {alphabet.size} letters"
+            )
         rank_image.update(zip(lyndon_d, nyldon_d))
 
     mapping: dict[Word, Word] = {}
@@ -187,7 +194,11 @@ def counting_bijection(alphabet: Alphabet, n: int) -> dict[Word, Word]:
             continue
         images = sorted(rank_image[f] for f in lyndon_factorize(w))
         image = sum(images, ())
-        assert not is_nyldon(image)
+        if is_nyldon(image):
+            raise AssertionError(f"image {image!r} of non-Lyndon {w!r} is Nyldon")
         mapping[w] = image
-    assert len(set(mapping.values())) == len(mapping)
+    if len(set(mapping.values())) != len(mapping):
+        raise AssertionError(
+            f"the map on length-{n} words over {alphabet.size} letters is not injective"
+        )
     return mapping

@@ -17,23 +17,6 @@ from typing import Iterable, Iterator, Sequence
 Word = tuple[int, ...]
 
 
-def lex_compare(u: Word, v: Word) -> int:
-    """Three-way lexicographic comparison: -1, 0 or 1.
-
-    >>> lex_compare((), (0,))
-    -1
-    >>> lex_compare((1, 0), (1, 0, 0))
-    -1
-    >>> lex_compare((1, 0, 1), (1, 1))
-    -1
-    >>> lex_compare((1, 0), (1, 0))
-    0
-    """
-    if u == v:
-        return 0
-    return -1 if u < v else 1
-
-
 def rotations(w: Word) -> list[Word]:
     """The |w| rotations w[i:] + w[:i] for i = 0..|w|-1, in that order.
 
@@ -47,16 +30,15 @@ def rotations(w: Word) -> list[Word]:
 def is_primitive(w: Word) -> bool:
     """True iff w is nonempty and not u**m for any shorter u and m >= 2.
 
-    A word is a proper power exactly when it occurs inside its own
-    double w.w at an offset strictly between 0 and |w|.  That occurrence
-    check runs in linear time with the usual prefix-function scan.  The
-    empty word counts as a power, hence not primitive.
+    One prefix-function pass gives the longest proper border of w, so
+    p = |w| - border is the least period of w.  A word is a proper
+    power exactly when that period is shorter than w and divides |w|.
+    Linear time.  The empty word counts as a power, hence not
+    primitive.
     """
     n = len(w)
     if n == 0:
         return False
-    if n == 1:
-        return True
     fail = [0] * n
     k = 0
     for i in range(1, n):
@@ -65,16 +47,8 @@ def is_primitive(w: Word) -> bool:
         if w[i] == w[k]:
             k += 1
         fail[i] = k
-    doubled = w + w
-    k = 0
-    for i in range(1, 2 * n - 1):
-        while k and doubled[i] != w[k]:
-            k = fail[k - 1]
-        if doubled[i] == w[k]:
-            k += 1
-        if k == n:
-            return False
-    return True
+    p = n - fail[-1]
+    return p == n or n % p != 0
 
 
 def apply_permutation(perm: Sequence[int], w: Word) -> Word:

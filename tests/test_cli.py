@@ -150,6 +150,20 @@ def test_malformed_word_is_a_domain_error(capsys):
     assert err.startswith("error:")
 
 
+def test_sizes_below_one_are_domain_errors(capsys):
+    for argv in (
+        ["enumerate", "-k", "2", "--max-len", "0"],
+        ["enumerate", "-k", "2", "--max-len", "-1", "--family", "lyndon"],
+        ["count", "-k", "2", "-n", "0"],
+        ["count", "-k", "2", "-n", "-1", "--family", "lyndon"],
+        ["lazard", "--side", "left", "--select", "min", "-k", "2", "-n", "0"],
+        ["codes", "comma-free", "-k", "2", "-n", "0"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:"), argv
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "-k", "2"])  # missing --max-len

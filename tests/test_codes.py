@@ -1,5 +1,10 @@
 """Block-code checks on the fixed-length Nyldon codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from nyldon import (
@@ -20,6 +25,8 @@ from golden import (
     COMMA_FREE_WITNESS_K4_N2,
     w,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def code(k, n):
@@ -86,6 +93,26 @@ def test_table_matches_the_classification():
     assert len(table) == 3 * 7
     for (k, n), holds in table.items():
         assert holds == nyldon_comma_free_classification(k, n)
+
+
+def test_table_disagreement_raises_under_optimization(tmp_path):
+    # python -O strips bare asserts; the table's check must survive it
+    child = (
+        "import nyldon.codes as codes\n"
+        "right = codes.nyldon_comma_free_classification\n"
+        "codes.nyldon_comma_free_classification = lambda k, n: not right(k, n)\n"
+        "codes.nyldon_comma_free_table(2, 2)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", child],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 1
+    assert "AssertionError" in proc.stderr and "k=2, n=1" in proc.stderr
 
 
 def test_fast_check_agrees_with_the_definition():

@@ -1,11 +1,14 @@
 """Nyldon factorization, membership, suffixes, the two-part split,
 prefix constraints."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nyldon import (
     Alphabet,
-    check_prefix_constraint,
     enumerate_nyldon,
     forbidden_prefix_family,
     is_forbidden_prefix_upto,
@@ -84,6 +87,24 @@ def test_longest_suffix_is_the_last_factor():
         assert longest_nyldon_suffix(v) == nyldon_factorize(v)[-1]
 
 
+def test_proper_suffix_is_the_first_nyldon_suffix():
+    for v in itertools.chain(A2.words_upto(12), Alphabet(3).words_upto(8)):
+        if len(v) >= 2:
+            scan = next(v[i:] for i in range(1, len(v)) if is_nyldon(v[i:]))
+            assert longest_nyldon_suffix(v, proper=True) == scan
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda k: st.lists(st.integers(0, k - 1), min_size=100, max_size=300).map(tuple)
+    )
+)
+def test_long_proper_suffix_is_the_first_nyldon_suffix(v):
+    scan = next(v[i:] for i in range(1, len(v)) if is_nyldon(v[i:]))
+    assert longest_nyldon_suffix(v, proper=True) == scan
+
+
 def test_proper_suffix_needs_two_letters():
     with pytest.raises(ValueError):
         longest_nyldon_suffix(w("1"), proper=True)
@@ -146,16 +167,10 @@ def test_standard_factorization_rejects_bad_input():
         standard_factorization(w("1"))     # too short
 
 
-def test_prefix_constraint_pins():
-    assert check_prefix_constraint(w("10"))
-    assert check_prefix_constraint(w("21"))
-    assert check_prefix_constraint(w("10110"))
-
-
 def test_members_start_with_a_descent(binary_nyldon_upto_12):
     for v, member in binary_nyldon_upto_12.items():
         if member and len(v) >= 2:
-            assert check_prefix_constraint(v)
+            assert v[0] > v[1]
 
 
 def test_ternary_members_start_with_10_20_or_21():

@@ -1,6 +1,10 @@
 """Lyndon membership, Duval factorization, conjugates, enumeration."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nyldon import (
     Alphabet,
@@ -95,11 +99,35 @@ def test_conjugate_rejects_non_primitive():
 
 
 def test_conjugate_is_the_lyndon_rotation():
-    for v in A2.words_upto(9):
+    for v in itertools.chain(
+        A2.words_upto(12), Alphabet(3).words_upto(8), Alphabet(4).words_upto(6)
+    ):
         if is_primitive(v):
             c = lyndon_conjugate(v)
             assert is_lyndon(c)
-            assert c in rotations(v)
+            assert c == min(rotations(v))
+
+
+# words of hundreds of letters over two to four letters
+long_words = st.integers(2, 4).flatmap(
+    lambda k: st.lists(st.integers(0, k - 1), min_size=100, max_size=1000).map(tuple)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_words)
+def test_long_membership_is_smaller_than_all_proper_suffixes(v):
+    # the least rotation is Lyndon whenever v is primitive, so both
+    # verdicts get exercised
+    for u in (v, min(rotations(v))):
+        assert is_lyndon(u) == all(u < u[i:] for i in range(1, len(u)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_words)
+def test_long_conjugate_is_the_least_rotation(v):
+    if is_primitive(v):
+        assert lyndon_conjugate(v) == min(rotations(v))
 
 
 def test_enumeration_matches_frozen_list():

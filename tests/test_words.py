@@ -1,6 +1,6 @@
-"""Word primitives: comparison, rotations, primitivity, permutations, text."""
+"""Word primitives: rotations, primitivity, permutations, text."""
 
-import functools
+import itertools
 import random
 
 import pytest
@@ -10,40 +10,12 @@ from nyldon import (
     apply_permutation,
     format_factorization,
     is_primitive,
-    lex_compare,
     reverse_permutation,
     rotations,
 )
 
 A2 = Alphabet(2)
 A3 = Alphabet(3)
-
-
-def test_lex_compare_prefix_sorts_first():
-    assert lex_compare((), (0,)) == -1
-    assert lex_compare((1, 0), (1, 0, 0)) == -1
-    assert lex_compare((1, 0, 1), (1, 1)) == -1
-    assert lex_compare((1, 0), (1, 0)) == 0
-    assert lex_compare((1, 1), (1, 0, 1)) == 1
-
-
-def test_lex_compare_matches_tuple_order():
-    # native tuple comparison is the intended order, proper-prefix
-    # case included; pin the equivalence on all short pairs
-    words = [()] + list(A2.words_upto(5))
-    for u in words:
-        for v in words:
-            expected = 0 if u == v else (-1 if u < v else 1)
-            assert lex_compare(u, v) == expected
-
-
-def test_lex_compare_sorts_like_builtin():
-    rng = random.Random(97)
-    words = [
-        tuple(rng.randrange(3) for _ in range(rng.randrange(13)))
-        for _ in range(200)
-    ]
-    assert sorted(words, key=functools.cmp_to_key(lex_compare)) == sorted(words)
 
 
 def test_rotations_examples():
@@ -66,7 +38,7 @@ def test_primitivity_examples():
 
 
 def test_primitivity_matches_power_definition():
-    for w in A2.words_upto(10):
+    for w in itertools.chain(A2.words_upto(10), A3.words_upto(7)):
         n = len(w)
         is_power = any(
             n % d == 0 and w == w[:d] * (n // d) for d in range(1, n)
