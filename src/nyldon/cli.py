@@ -22,21 +22,15 @@ from .words import Alphabet, Word, format_factorization, reverse_permutation
 
 
 def _parse_word(text: str) -> Word:
-    """Word from CLI text: digits, or comma-separated letters for
-    alphabets past size 10.  The alphabet is implied by the letters."""
+    """Word from CLI text: ASCII digits, or comma-separated ASCII
+    decimals for alphabets past size 10.  The alphabet is implied by
+    the letters."""
     if text == "":
         raise ValueError("empty word")
-    if "," in text:
-        parts = text.split(",")
-    else:
-        parts = list(text)
-    try:
-        w = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"cannot parse word {text!r}") from None
-    if any(a < 0 for a in w):
+    parts = text.split(",") if "," in text else list(text)
+    if not all(p.isascii() and p.isdigit() for p in parts):
         raise ValueError(f"cannot parse word {text!r}")
-    return w
+    return tuple(int(p) for p in parts)
 
 
 def _alphabet_for(w: Word) -> Alphabet:
@@ -77,13 +71,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_conjugate(args: argparse.Namespace) -> int:
     w = _parse_word(args.word)
     alphabet = _alphabet_for(w)
-    method = melancon_nyldon_conjugate if args.method == "melancon" else nyldon_conjugate_bruteforce
-    result = method(w)
+    result = melancon_nyldon_conjugate(w)
     if args.verify:
-        other = nyldon_conjugate_bruteforce(w) if args.method == "melancon" else melancon_nyldon_conjugate(w)
-        if other != result:
-            print(f"error: methods disagree: {alphabet.format(result)} vs {alphabet.format(other)}",
-                  file=sys.stderr)
+        reference = nyldon_conjugate_bruteforce(w)
+        if reference != result:
+            print(f"error: methods disagree on {args.word}: melancon {alphabet.format(result)},"
+                  f" brute force {alphabet.format(reference)}", file=sys.stderr)
             return 1
     print(alphabet.format(result))
     return 0
@@ -192,9 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjugate", help="the Nyldon rotation of a primitive word")
     p.add_argument("word")
-    p.add_argument("--method", choices=["melancon", "bruteforce"], default="melancon")
     p.add_argument("--verify", action="store_true",
-                   help="run both methods and fail on disagreement")
+                   help="also test every rotation and fail on disagreement")
     p.set_defaults(func=_cmd_conjugate)
 
     p = sub.add_parser("count", help="family words per length")

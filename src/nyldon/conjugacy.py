@@ -3,9 +3,10 @@
 Every primitive word has exactly one Nyldon word among its rotations,
 just as it has exactly one Lyndon word, so rotating gives a
 length-preserving bijection between the two families.  Two routes to
-the Nyldon rotation are provided: testing every rotation (the
-reference), and Melancon's block-merging procedure (the fast path),
-which never runs a membership test at all.
+the Nyldon rotation are provided: Melancon's procedure (the fast path),
+which runs the right Lazard elimination on the circular word and never
+runs a membership test, and testing every rotation (the reference that
+the tests and `nyldon conjugate --verify` check it against).
 """
 
 from __future__ import annotations
@@ -33,50 +34,27 @@ def nyldon_conjugate_bruteforce(w: Word) -> Word:
 def melancon_nyldon_conjugate(w: Word) -> Word:
     """The Nyldon rotation of a primitive word, by Melancon's procedure.
 
-    Maintain a list of blocks that always concatenates to some rotation
-    of w, initially the letters of w.  Each pass fixes the smallest
-    block value of the PREVIOUS pass's list and merges occurrences of it
-    into their left neighbors; when only one block remains, it is the
-    Nyldon conjugate.
-
-    Index bookkeeping, where the terse original leaves room for
-    doubt, is resolved as follows (validated exhaustively against the
-    rotation-scan brute force, binary length <= 12 and ternary <= 8):
-
-      * the smallest block is computed once per pass, before any merge
-        of that pass, from the block multiset of the previous pass;
-      * the head block is special-cased first, once per pass: if it is
-        the smallest and strictly less than the LAST block, the list
-        rotates, absorbing the head into the tail (the blocks then
-        spell a new rotation of w);
-      * the remaining blocks are scanned left to right; a block equal
-        to the smallest and strictly less than its left neighbor is
-        absorbed into that neighbor, and the scan resumes AFTER the
-        merged block, so the block that follows it is never compared
-        against the freshly merged neighbor within the same pass.
+    Nyldon words form a right Lazard set; this is that elimination run
+    on the circular word.  The blocks, initially the letters of w, always
+    spell a rotation of w.  Each pass takes the smallest block h, starts
+    the circle at a block other than h (one exists, since w is
+    primitive), and absorbs every run of copies of h into the block on
+    its left.  A pass removes every copy of h and there is at least one,
+    so the block count falls each pass; the last block is the answer.
     """
     if not is_primitive(w):
         raise ValueError("only primitive words have a Nyldon conjugate")
     blocks: list[Word] = [w[i:i + 1] for i in range(len(w))]
     while len(blocks) > 1:
-        smallest = min(blocks)
-        before = len(blocks)
-        if blocks[0] == smallest and blocks[0] < blocks[-1]:
-            blocks = blocks[1:-1] + [blocks[-1] + blocks[0]]
-        merged = [blocks[0]]
-        skip = False
-        for b in blocks[1:]:
-            if not skip and b == smallest and b < merged[-1]:
-                merged[-1] = merged[-1] + b
-                skip = True
+        h = min(blocks)
+        start = next(i for i, b in enumerate(blocks) if b != h)
+        merged: list[Word] = []
+        for b in blocks[start:] + blocks[:start]:
+            if b == h:
+                merged[-1] += b
             else:
                 merged.append(b)
-                skip = False
         blocks = merged
-        if len(blocks) == before:
-            # a full pass without a single merge cannot happen for a
-            # primitive input; bail out instead of spinning
-            raise AssertionError(f"merge pass stalled on {w!r}")
     return blocks[0]
 
 

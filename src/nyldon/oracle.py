@@ -6,7 +6,9 @@ recursive definitions, factorizations by exhaustive search over split
 points, per-length counts cross-checked by the classical aperiodic
 necklace formula, and the rank-matching bijection between non-Lyndon
 and non-Nyldon words of a fixed length.  Tests pit the two sides
-against each other; the production modules never call this one.
+against each other.  The CLI also uses three of them: count_by_length
+for `count`, necklace_count for `count --check-formula`, and
+counting_bijection for `bijection`.
 """
 
 from __future__ import annotations

@@ -57,12 +57,17 @@ def test_enumerate(capsys):
 
 def test_conjugate(capsys):
     assert run(capsys, "conjugate", "01") == (0, "10\n", "")
-    assert run(capsys, "conjugate", "001", "--method", "bruteforce") == (
-        0, "100\n", "",
-    )
     assert run(capsys, "conjugate", "01111011011111011110111", "--verify") == (
         0, "10111101101111101111011\n", "",
     )
+
+
+def test_conjugate_verify_reports_a_disagreement(capsys, monkeypatch):
+    # 0010 is a rotation of the Nyldon word 1000, but not the Nyldon one
+    monkeypatch.setattr("nyldon.cli.melancon_nyldon_conjugate", lambda v: (0, 0, 1, 0))
+    code, out, err = run(capsys, "conjugate", "0001", "--verify")
+    assert (code, out) == (1, "")
+    assert err == "error: methods disagree on 0001: melancon 0010, brute force 1000\n"
 
 
 def test_conjugate_rejects_powers(capsys):
@@ -145,9 +150,13 @@ def test_empty_word_is_a_domain_error(capsys):
 
 
 def test_malformed_word_is_a_domain_error(capsys):
-    code, out, err = run(capsys, "factorize", "10a0")
-    assert code == 1
-    assert err.startswith("error:")
+    # only ASCII decimals are letters; int() alone would read all but
+    # the first of these ("\u0661\u0660" is 10 in Arabic-Indic digits)
+    for text in ("10a0", "\u0661\u0660", "1_0,1", " 1,0", "+1,0"):
+        for command in ("factorize", "test", "conjugate"):
+            code, out, err = run(capsys, command, text)
+            assert (code, out) == (1, ""), (command, text)
+            assert err.startswith("error:"), (command, text)
 
 
 def test_sizes_below_one_are_domain_errors(capsys):
@@ -170,6 +179,9 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["factorize", "10", "--family", "weird"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["conjugate", "001", "--method", "bruteforce"])  # no such option
     assert exc.value.code == 2
     capsys.readouterr()
 

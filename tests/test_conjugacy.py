@@ -1,7 +1,9 @@
 """The unique Nyldon rotation of a primitive word, by brute force and
-by the block-merging procedure, plus the family-swapping conjugate maps."""
+by Melancon's elimination, plus the family-swapping conjugate maps."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nyldon import (
     Alphabet,
@@ -44,13 +46,33 @@ def test_non_primitive_inputs_rejected():
 
 
 def test_methods_agree_on_primitive_words():
-    for v in A2.words_upto(10):
-        if is_primitive(v):
-            assert melancon_nyldon_conjugate(v) == nyldon_conjugate_bruteforce(v)
-    a3 = Alphabet(3)
-    for v in a3.words_upto(6):
-        if is_primitive(v):
-            assert melancon_nyldon_conjugate(v) == nyldon_conjugate_bruteforce(v)
+    for k, n in ((2, 12), (3, 8), (4, 6)):
+        for v in Alphabet(k).words_upto(n):
+            if is_primitive(v):
+                assert melancon_nyldon_conjugate(v) == nyldon_conjugate_bruteforce(v)
+
+
+def assert_is_the_nyldon_rotation(v, c):
+    # the Nyldon rotation is unique, so any Nyldon rotation of v is it
+    assert len(c) == len(v)
+    assert bytes(c) in bytes(v + v)
+    assert is_nyldon(c)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda k: st.lists(st.integers(0, k - 1), min_size=100, max_size=2000).map(tuple)
+    ).filter(is_primitive)
+)
+def test_long_melancon_conjugate_is_a_nyldon_rotation(v):
+    assert_is_the_nyldon_rotation(v, melancon_nyldon_conjugate(v))
+
+
+def test_melancon_on_the_adversarial_families():
+    n = 4096
+    for v in ((1,) + (0,) * (n - 1), (0,) * (n - 1) + (1,), (1, 0) * (n // 2 - 2) + (1, 0, 0)):
+        assert_is_the_nyldon_rotation(v, melancon_nyldon_conjugate(v))
 
 
 def test_exactly_one_nyldon_rotation_per_class(binary_nyldon_upto_12):
