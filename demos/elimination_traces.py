@@ -24,7 +24,7 @@ def show(side: str, selector: str, n: int) -> None:
     trace = lazard_run(side, selector, A2, n)
     print(f"{side}/{selector}, words up to length {n}:")
     for i, step in enumerate(trace.steps, 1):
-        snapshot = " ".join(A2.format(w) for w in step.snapshot)
+        snapshot = " ".join(A2.format(w) for w in sorted(step.snapshot))
         print(f"  {i:>2} | {snapshot} | {A2.format(step.chosen)}")
     print(f"  eliminated: {' '.join(A2.format(w) for w in trace.eliminated)}")
     print()

@@ -52,49 +52,3 @@ from .oracle import (
     recursive_is_lyndon,
     recursive_is_nyldon,
 )
-
-__all__ = [
-    "Alphabet",
-    "CodeVerdict",
-    "LazardStep",
-    "LazardTerminationError",
-    "LazardTrace",
-    "StandardFactorization",
-    "Word",
-    "apply_permutation",
-    "count_by_length",
-    "counting_bijection",
-    "enumerate_lyndon",
-    "enumerate_nyldon",
-    "exhaustive_factorizations",
-    "forbidden_prefix_family",
-    "format_factorization",
-    "in_code_star",
-    "is_circular_bounded",
-    "is_comma_free_definitional",
-    "is_comma_free_uniform",
-    "is_forbidden_prefix_upto",
-    "is_lyndon",
-    "is_nyldon",
-    "is_primitive",
-    "lazard_extract",
-    "lazard_run",
-    "lazard_stepcount_nyldon",
-    "longest_nyldon_suffix",
-    "lyndon_conjugate",
-    "lyndon_factorize",
-    "lyndon_to_nyldon",
-    "melancon_nyldon_conjugate",
-    "necklace_count",
-    "nyldon_code",
-    "nyldon_comma_free_classification",
-    "nyldon_comma_free_table",
-    "nyldon_conjugate_bruteforce",
-    "nyldon_factorize",
-    "nyldon_to_lyndon",
-    "recursive_is_lyndon",
-    "recursive_is_nyldon",
-    "reverse_permutation",
-    "rotations",
-    "standard_factorization",
-]

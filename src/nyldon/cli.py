@@ -18,19 +18,15 @@ from .factorization import enumerate_nyldon, is_nyldon, nyldon_factorize
 from .lazard import lazard_run
 from .lyndon import enumerate_lyndon, is_lyndon, lyndon_factorize
 from .oracle import count_by_length, counting_bijection, necklace_count
-from .words import Alphabet, Word, format_factorization, reverse_permutation
+from .words import Alphabet, Word, _read_letters, format_factorization, reverse_permutation
 
 
 def _parse_word(text: str) -> Word:
-    """Word from CLI text: ASCII digits, or comma-separated ASCII
-    decimals for alphabets past size 10.  The alphabet is implied by
-    the letters."""
+    """Word from CLI text: a comma list if the text has a comma, else
+    one digit per letter.  The alphabet is implied by the letters."""
     if text == "":
         raise ValueError("empty word")
-    parts = text.split(",") if "," in text else list(text)
-    if not all(p.isascii() and p.isdigit() for p in parts):
-        raise ValueError(f"cannot parse word {text!r}")
-    return tuple(int(p) for p in parts)
+    return _read_letters(text.split(",") if "," in text else list(text), text)
 
 
 def _alphabet_for(w: Word) -> Alphabet:
@@ -104,7 +100,7 @@ def _cmd_lazard(args: argparse.Namespace) -> int:
     trace = lazard_run(args.side, args.select, alphabet, args.n, perm=perm)
     if args.trace:
         for i, step in enumerate(trace.steps, 1):
-            snapshot = " ".join(alphabet.format(w) for w in step.snapshot)
+            snapshot = " ".join(alphabet.format(w) for w in sorted(step.snapshot))
             print(f"{i} | {snapshot} | {alphabet.format(step.chosen)}")
     else:
         print(" ".join(alphabet.format(w) for w in trace.eliminated))

@@ -32,6 +32,9 @@ class LazardTerminationError(RuntimeError):
 
 
 class LazardStep(NamedTuple):
+    """One step: the working set, in no particular order, and the word
+    eliminated from it."""
+
     snapshot: tuple[Word, ...]
     chosen: Word
 
@@ -50,9 +53,10 @@ class LazardTrace:
         return tuple(step.chosen for step in self.steps)
 
 
-def _order_key(alphabet: Alphabet, perm: Sequence[int] | None) -> Callable[[Word], Word]:
+def _order_key(alphabet: Alphabet, perm: Sequence[int] | None) -> Callable[[Word], Word] | None:
+    """The selection key under perm; None (compare words directly) without one."""
     if perm is None:
-        return lambda w: w
+        return None
     perm = tuple(perm)
     if sorted(perm) != list(alphabet.letters()):
         raise ValueError(f"{perm!r} is not a permutation of the alphabet")
@@ -76,8 +80,9 @@ def lazard_run(
 
     side is "left" or "right"; selector is "min" or "max", applied
     under the perm-twisted lexicographic order when perm is given.
-    Snapshots are recorded lex-sorted (plain order) for determinism;
-    the final step records the singleton and chooses its element.
+    Each snapshot is the working set as an unordered tuple (sort it
+    to print it); the final step records the singleton and chooses
+    its element.
 
     The step cap (default 4 times the universe size) only guards
     against a selector that fails to drain the universe; the four
@@ -102,7 +107,7 @@ def lazard_run(
                 f"no singleton after {step_cap} eliminations ({side}/{selector}, n={max_len})"
             )
         chosen = pick(pool, key=key)
-        steps.append(LazardStep(tuple(sorted(pool)), chosen))
+        steps.append(LazardStep(tuple(pool), chosen))
         if len(pool) == 1:
             break
         rewritten: set[Word] = set()

@@ -167,10 +167,11 @@ def counting_bijection(alphabet: Alphabet, n: int) -> dict[Word, Word]:
 
     Rank the Lyndon words of each length d < n in DECREASING
     lexicographic order and the Nyldon words of length d in INCREASING
-    lexicographic order.  For a non-Lyndon source word: take its
-    nonincreasing Lyndon factorization, replace every factor by the
-    Nyldon word of equal length and equal rank (repeated factors map to
-    repeated images), sort the images nondecreasingly and concatenate.
+    lexicographic order.  A source word is non-Lyndon iff its
+    nonincreasing Lyndon factorization has two or more factors.
+    Replace every factor by the Nyldon word of equal length and equal
+    rank (repeated factors map to repeated images), sort the images
+    nondecreasingly and concatenate.
     The image sequence is then the unique nondecreasing Nyldon
     factorization of the result, so the image has at least two factors
     and is non-Nyldon.  Bijectivity is checked, not proved here.
@@ -179,10 +180,9 @@ def counting_bijection(alphabet: Alphabet, n: int) -> dict[Word, Word]:
         raise ValueError("needs length >= 2")
     rank_image: dict[Word, Word] = {}
     for d in range(1, n):
-        lyndon_d = sorted(
-            (w for w in alphabet.words_of_length(d) if is_lyndon(w)), reverse=True
-        )
-        nyldon_d = sorted(w for w in alphabet.words_of_length(d) if is_nyldon(w))
+        # words_of_length is lexicographic, so both lists come out ranked
+        lyndon_d = [w for w in alphabet.words_of_length(d) if is_lyndon(w)][::-1]
+        nyldon_d = [w for w in alphabet.words_of_length(d) if is_nyldon(w)]
         if len(lyndon_d) != len(nyldon_d):
             raise AssertionError(
                 f"{len(lyndon_d)} Lyndon but {len(nyldon_d)} Nyldon words of length {d}"
@@ -192,9 +192,10 @@ def counting_bijection(alphabet: Alphabet, n: int) -> dict[Word, Word]:
 
     mapping: dict[Word, Word] = {}
     for w in alphabet.words_of_length(n):
-        if is_lyndon(w):
+        factors = lyndon_factorize(w)
+        if len(factors) == 1:
             continue
-        images = sorted(rank_image[f] for f in lyndon_factorize(w))
+        images = sorted(rank_image[f] for f in factors)
         image = sum(images, ())
         if is_nyldon(image):
             raise AssertionError(f"image {image!r} of non-Lyndon {w!r} is Nyldon")

@@ -70,6 +70,15 @@ def reverse_permutation(k: int) -> tuple[int, ...]:
     return tuple(k - 1 - i for i in range(k))
 
 
+def _read_letters(tokens: list[str], text: str) -> Word:
+    """The letters spelled by decimal tokens split from text.  Only
+    ASCII decimals are read: int() alone would also take "+1", "1_0",
+    " 1" and other scripts' digits."""
+    if not all(t.isascii() and t.isdigit() for t in tokens):
+        raise ValueError(f"cannot parse word {text!r}")
+    return tuple(map(int, tokens))
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """The ordered alphabet {0 < 1 < ... < size-1}."""
@@ -101,21 +110,13 @@ class Alphabet:
     def parse(self, text: str) -> Word:
         """Read a word from text; inverse of format().
 
-        Alphabets of size <= 10 use one decimal digit per letter
-        ("10100"); larger ones use comma-separated decimals ("2,10,0").
-        The empty string parses to the empty word.
+        Alphabets of size <= 10 use one ASCII digit per letter
+        ("10100"); larger ones use comma-separated ASCII decimals
+        ("2,10,0").  The empty string parses to the empty word.
         """
         if text == "":
             return ()
-        if self.size <= 10:
-            letters = []
-            for ch in text:
-                if ch not in "0123456789":
-                    raise ValueError(f"bad letter {ch!r} in {text!r}")
-                letters.append(int(ch))
-        else:
-            letters = [int(tok) for tok in text.split(",")]
-        w = tuple(letters)
+        w = _read_letters(list(text) if self.size <= 10 else text.split(","), text)
         self.validate(w)
         return w
 

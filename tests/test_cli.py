@@ -102,6 +102,28 @@ def test_lazard_trace_format(capsys):
     assert (code, out) == (0, "1 | 0 1 | 0\n2 | 01 1 | 01\n3 | 1 | 1\n")
 
 
+def test_lazard_trace_sorts_each_working_set(capsys):
+    # at n=4 the recorded working sets are unordered, so the sort is the
+    # printer's; the expected text is the output of the sorted records
+    code, out, err = run(
+        capsys, "lazard", "--side", "right", "--select", "min", "-k", "2",
+        "-n", "4", "--trace",
+    )
+    assert (code, out) == (0, (
+        "1 | 0 1 | 0\n"
+        "2 | 1 10 100 1000 | 1\n"
+        "3 | 10 100 1000 1001 101 1011 | 10\n"
+        "4 | 100 1000 1001 101 1011 | 100\n"
+        "5 | 1000 1001 101 1011 | 1000\n"
+        "6 | 1001 101 1011 | 1001\n"
+        "7 | 101 1011 | 101\n"
+        "8 | 1011 | 1011\n"
+    ))
+    for line in out.splitlines():
+        working_set = line.split(" | ")[1].split()
+        assert working_set == sorted(working_set)
+
+
 def test_lazard_under_reversed_order(capsys):
     code, out, err = run(
         capsys, "lazard", "--side", "right", "--select", "max", "-k", "2",

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -109,14 +110,25 @@ def test_words_upto_orders_by_length_then_lex():
 
 
 def test_parse_format_round_trip():
-    for w in A3.words_upto(4):
-        assert A3.parse(A3.format(w)) == w
+    for alphabet, n in ((A3, 4), (Alphabet(12), 3)):
+        for w in alphabet.words_upto(n):
+            assert alphabet.parse(alphabet.format(w)) == w
 
 
 def test_large_alphabets_use_comma_lists():
     big = Alphabet(12)
     assert big.format((2, 10, 0)) == "2,10,0"
     assert big.parse("2,10,0") == (2, 10, 0)
+    assert big.parse("10") == (10,)
+
+
+def test_comma_lists_read_only_ascii_decimals():
+    # int() alone would read "1_0", " 2", "+3" and "\u0661\u0660" (10 in
+    # Arabic-Indic digits); an empty token is no letter either
+    big = Alphabet(11)
+    for text in ("1_0, 2,+3", "\u0661\u0660,2", " 1,0", "1,,0", "2,"):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            big.parse(text)
 
 
 def test_parse_rejects_out_of_range_letters():
