@@ -14,7 +14,6 @@ from .factorization import (
     StandardFactorization,
     enumerate_nyldon,
     forbidden_prefix_family,
-    is_forbidden_prefix_upto,
     is_nyldon,
     longest_nyldon_suffix,
     nyldon_factorize,
@@ -38,7 +37,6 @@ from .codes import (
     CodeVerdict,
     in_code_star,
     is_circular_bounded,
-    is_comma_free_definitional,
     is_comma_free_uniform,
     nyldon_code,
     nyldon_comma_free_classification,
@@ -48,6 +46,8 @@ from .oracle import (
     count_by_length,
     counting_bijection,
     exhaustive_factorizations,
+    is_comma_free_definitional,
+    is_forbidden_prefix_upto,
     necklace_count,
     recursive_is_lyndon,
     recursive_is_nyldon,

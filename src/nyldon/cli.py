@@ -96,14 +96,17 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_lazard(args: argparse.Namespace) -> int:
     alphabet = Alphabet(args.k)
+    trace = lazard_run(args.side, args.select, alphabet, args.n)
+    # the run under the letter-reversed order is the plain run relabeled letter
+    # by letter; its letters are in range, so apply_permutation's checks are skipped
     perm = reverse_permutation(args.k) if args.perm == "reverse" else None
-    trace = lazard_run(args.side, args.select, alphabet, args.n, perm=perm)
+    relabel = (lambda w: w) if perm is None else (lambda w: tuple(map(perm.__getitem__, w)))
     if args.trace:
         for i, step in enumerate(trace.steps, 1):
-            snapshot = " ".join(alphabet.format(w) for w in sorted(step.snapshot))
-            print(f"{i} | {snapshot} | {alphabet.format(step.chosen)}")
+            snapshot = " ".join(alphabet.format(w) for w in sorted(map(relabel, step.snapshot)))
+            print(f"{i} | {snapshot} | {alphabet.format(relabel(step.chosen))}")
     else:
-        print(" ".join(alphabet.format(w) for w in trace.eliminated))
+        print(" ".join(alphabet.format(relabel(w)) for w in trace.eliminated))
     return 0
 
 

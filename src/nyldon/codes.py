@@ -11,16 +11,17 @@ and nothing more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .factorization import is_nyldon
 from .words import Alphabet, Word
 
+# the most messages is_circular_bounded will try; past it a search takes seconds to hours
+CIRCULAR_MESSAGE_BUDGET = 10 ** 5
 
-@dataclass(frozen=True)
-class CodeVerdict:
+
+class CodeVerdict(NamedTuple):
     """Outcome of a code-property check.
 
     witness is present exactly when the property fails: (u, x, v) with
@@ -80,31 +81,6 @@ def is_comma_free_uniform(code: Iterable[Word], n: int) -> CodeVerdict:
     return CodeVerdict(True)
 
 
-def is_comma_free_definitional(code: Iterable[Word], n: int, max_blocks: int = 3) -> CodeVerdict:
-    """Comma-freeness checked directly against the definition.
-
-    Every message of at most max_blocks codewords is cut every possible
-    way into u x v with x in C+, and u, v are required to parse.  This
-    is the oracle for the two-block reduction; three blocks already
-    realize every straddling pattern a uniform code admits.  Cost grows
-    as |C|^max_blocks.
-    """
-    words = _uniform(code, n)
-    ordered = sorted(words)
-    for blocks in range(1, max_blocks + 1):
-        for msg in product(ordered, repeat=blocks):
-            w = sum(msg, ())
-            for a in range(len(w) + 1):
-                for b in range(a + n, len(w) + 1, n):
-                    x = w[a:b]
-                    if not in_code_star(words, n, x):
-                        continue
-                    u, v = w[:a], w[b:]
-                    if not (in_code_star(words, n, u) and in_code_star(words, n, v)):
-                        return CodeVerdict(False, (u, x, v))
-    return CodeVerdict(True)
-
-
 def is_circular_bounded(code: Iterable[Word], n: int, max_total: int | None = None) -> CodeVerdict:
     """Search for a circularity counterexample among short messages.
 
@@ -112,7 +88,9 @@ def is_circular_bounded(code: Iterable[Word], n: int, max_total: int | None = No
     (default 4n), looking for vu in C* while u itself does not parse.
     Cuts at multiples of n are skipped since both halves then parse
     trivially.  A negative verdict is definitive; a positive one is
-    bounded evidence only.  Cost grows as |C|^(max_total/n).
+    bounded evidence only.  Cost grows as |C|^(max_total/n), so a search
+    that would try more than CIRCULAR_MESSAGE_BUDGET messages is refused
+    with ValueError before it starts.
     """
     words = _uniform(code, n)
     if max_total is None:
@@ -120,6 +98,16 @@ def is_circular_bounded(code: Iterable[Word], n: int, max_total: int | None = No
     if max_total < 2 * n:
         raise ValueError("max_total must allow at least two codewords")
     ordered = sorted(words)
+    if not ordered:
+        return CodeVerdict(True)  # only the empty message parses, at any bound
+    messages = 0
+    for blocks in range(1, max_total // n + 1):
+        messages += len(ordered) ** blocks
+        if messages > CIRCULAR_MESSAGE_BUDGET:
+            raise ValueError(
+                f"circular search over {len(ordered)} codewords of length {n} up to {max_total}"
+                f" letters needs more than the budget of {CIRCULAR_MESSAGE_BUDGET} messages"
+            )
     for blocks in range(1, max_total // n + 1):
         for msg in product(ordered, repeat=blocks):
             w = sum(msg, ())

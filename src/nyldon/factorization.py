@@ -112,25 +112,6 @@ def standard_factorization(w: Word) -> StandardFactorization:
     return StandardFactorization(w[: len(w) - len(right)], right)
 
 
-def is_forbidden_prefix_upto(prefix: Word, max_len: int, alphabet: Alphabet) -> bool:
-    """True iff no Nyldon word over the alphabet of length <= max_len
-    starts with the given prefix.
-
-    Bounded evidence, not a proof: only extensions up to max_len are
-    examined, at a cost of O(k**(max_len - |prefix|)) membership tests.
-    """
-    if not prefix:
-        raise ValueError("the empty prefix is never forbidden")
-    if max_len < len(prefix):
-        raise ValueError("max_len must be at least the prefix length")
-    alphabet.validate(prefix)
-    for extra in range(max_len - len(prefix) + 1):
-        for tail in alphabet.words_of_length(extra):
-            if is_nyldon(prefix + tail):
-                return False
-    return True
-
-
 def forbidden_prefix_family(k_param: int, family_index: int) -> Word:
     """A member of one of four binary families of forbidden prefixes.
 
@@ -140,7 +121,7 @@ def forbidden_prefix_family(k_param: int, family_index: int) -> Word:
     family 4:  1 0^(k+2) 11 0^(k+1) 11
 
     No binary Nyldon word starts with any of these (checked empirically
-    by the paired is_forbidden_prefix_upto tests; the families are
+    by the paired oracle.is_forbidden_prefix_upto tests; the families are
     closed-form, the evidence is bounded).
     """
     if k_param < 0:

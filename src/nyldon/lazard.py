@@ -12,15 +12,15 @@ classical families of the bounded universe:
     right / min   the Nyldon words, in increasing order
     right / max   the Lyndon words, in decreasing order
 
-Selections can also be made under a letter permutation pi, comparing
-words by the order that ranks pi(0) below pi(1) below pi(2) and so on;
-eliminations then commute with the relabeling.
+Relabeling letters through a permutation pi carries lexicographic order
+onto the order ranking pi(0) below pi(1) below pi(2) and so on, and it
+commutes with the rewriting, so the run selecting under that order is
+the plain run relabeled letter by letter (apply_permutation).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .factorization import enumerate_nyldon
 from .words import Alphabet, Word
@@ -39,13 +39,9 @@ class LazardStep(NamedTuple):
     chosen: Word
 
 
-@dataclass(frozen=True)
-class LazardTrace:
-    side: str
-    selector: str
-    alphabet: Alphabet
-    max_len: int
-    perm: tuple[int, ...] | None
+class LazardTrace(NamedTuple):
+    """The steps of a run, in order."""
+
     steps: tuple[LazardStep, ...]
 
     @property
@@ -53,36 +49,20 @@ class LazardTrace:
         return tuple(step.chosen for step in self.steps)
 
 
-def _order_key(alphabet: Alphabet, perm: Sequence[int] | None) -> Callable[[Word], Word] | None:
-    """The selection key under perm; None (compare words directly) without one."""
-    if perm is None:
-        return None
-    perm = tuple(perm)
-    if sorted(perm) != list(alphabet.letters()):
-        raise ValueError(f"{perm!r} is not a permutation of the alphabet")
-    # letter pi(i) has rank i, so words compare by their rank sequences
-    rank = [0] * alphabet.size
-    for i, a in enumerate(perm):
-        rank[a] = i
-    return lambda w: tuple(rank[a] for a in w)
-
-
 def lazard_run(
     side: str,
     selector: str,
     alphabet: Alphabet,
     max_len: int,
-    perm: Sequence[int] | None = None,
     step_cap: int | None = None,
 ) -> LazardTrace:
     """Run the elimination until the working set is a singleton and
     return the full trace.
 
-    side is "left" or "right"; selector is "min" or "max", applied
-    under the perm-twisted lexicographic order when perm is given.
-    Each snapshot is the working set as an unordered tuple (sort it
-    to print it); the final step records the singleton and chooses
-    its element.
+    side is "left" or "right"; selector is "min" or "max" in
+    lexicographic order.  Each snapshot is the working set as an
+    unordered tuple (sort it to print it); the final step records the
+    singleton and chooses its element.
 
     The step cap (default 4 times the universe size) only guards
     against a selector that fails to drain the universe; the four
@@ -94,7 +74,6 @@ def lazard_run(
         raise ValueError(f"selector must be 'min' or 'max', not {selector!r}")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    key = _order_key(alphabet, perm)
     pick = min if selector == "min" else max
     if step_cap is None:
         step_cap = 4 * sum(alphabet.size ** i for i in range(1, max_len + 1))
@@ -106,7 +85,7 @@ def lazard_run(
             raise LazardTerminationError(
                 f"no singleton after {step_cap} eliminations ({side}/{selector}, n={max_len})"
             )
-        chosen = pick(pool, key=key)
+        chosen = pick(pool)
         steps.append(LazardStep(tuple(pool), chosen))
         if len(pool) == 1:
             break
@@ -119,8 +98,7 @@ def lazard_run(
                 rewritten.add(prod)
                 prod = prod + chosen if side == "right" else chosen + prod
         pool = rewritten
-    return LazardTrace(side, selector, alphabet, max_len,
-                       tuple(perm) if perm is not None else None, tuple(steps))
+    return LazardTrace(tuple(steps))
 
 
 def lazard_extract(trace: LazardTrace) -> frozenset[Word]:

@@ -1,21 +1,24 @@
 """Independent brute-force references for the production algorithms.
 
-Everything here recomputes from first principles what lyndon.py and
-factorization.py compute by algorithm: membership straight from the
-recursive definitions, factorizations by exhaustive search over split
-points, per-length counts cross-checked by the classical aperiodic
-necklace formula, and the rank-matching bijection between non-Lyndon
-and non-Nyldon words of a fixed length.  Tests pit the two sides
-against each other.  The CLI also uses three of them: count_by_length
-for `count`, necklace_count for `count --check-formula`, and
-counting_bijection for `bijection`.
+Everything here recomputes from first principles what lyndon.py,
+factorization.py and codes.py compute by algorithm: membership straight
+from the recursive definitions, factorizations by exhaustive search
+over split points, per-length counts cross-checked by the classical
+aperiodic necklace formula, the rank-matching bijection between
+non-Lyndon and non-Nyldon words of a fixed length, forbidden prefixes
+by trying every extension, and comma-freeness by cutting every short
+message.  Tests pit the two sides against each other.  The CLI also
+uses three of them: count_by_length for `count`, necklace_count for
+`count --check-formula`, and counting_bijection for `bijection`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
+from itertools import product
+from typing import Callable, Iterable
 
+from .codes import CodeVerdict, _uniform, in_code_star
 from .factorization import enumerate_nyldon, is_nyldon
 from .lyndon import enumerate_lyndon, is_lyndon, lyndon_factorize
 from .words import Alphabet, Word
@@ -205,3 +208,47 @@ def counting_bijection(alphabet: Alphabet, n: int) -> dict[Word, Word]:
             f"the map on length-{n} words over {alphabet.size} letters is not injective"
         )
     return mapping
+
+
+def is_forbidden_prefix_upto(prefix: Word, max_len: int, alphabet: Alphabet) -> bool:
+    """True iff no Nyldon word over the alphabet of length <= max_len
+    starts with the given prefix.
+
+    Bounded evidence, not a proof: only extensions up to max_len are
+    examined, at a cost of O(k**(max_len - |prefix|)) membership tests.
+    """
+    if not prefix:
+        raise ValueError("the empty prefix is never forbidden")
+    if max_len < len(prefix):
+        raise ValueError("max_len must be at least the prefix length")
+    alphabet.validate(prefix)
+    for extra in range(max_len - len(prefix) + 1):
+        for tail in alphabet.words_of_length(extra):
+            if is_nyldon(prefix + tail):
+                return False
+    return True
+
+
+def is_comma_free_definitional(code: Iterable[Word], n: int, max_blocks: int = 3) -> CodeVerdict:
+    """Comma-freeness checked directly against the definition.
+
+    Every message of at most max_blocks codewords is cut every possible
+    way into u x v with x in C+, and u, v are required to parse.  This
+    is the oracle for the two-block reduction; three blocks already
+    realize every straddling pattern a uniform code admits.  Cost grows
+    as |C|^max_blocks.
+    """
+    words = _uniform(code, n)
+    ordered = sorted(words)
+    for blocks in range(1, max_blocks + 1):
+        for msg in product(ordered, repeat=blocks):
+            w = sum(msg, ())
+            for a in range(len(w) + 1):
+                for b in range(a + n, len(w) + 1, n):
+                    x = w[a:b]
+                    if not in_code_star(words, n, x):
+                        continue
+                    u, v = w[:a], w[b:]
+                    if not (in_code_star(words, n, u) and in_code_star(words, n, v)):
+                        return CodeVerdict(False, (u, x, v))
+    return CodeVerdict(True)

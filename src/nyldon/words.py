@@ -11,7 +11,7 @@ comparison operators directly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
@@ -79,15 +79,15 @@ def _read_letters(tokens: list[str], text: str) -> Word:
     return tuple(map(int, tokens))
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(namedtuple("Alphabet", "size")):
     """The ordered alphabet {0 < 1 < ... < size-1}."""
 
-    size: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.size < 1:
+    def __new__(cls, size: int) -> Alphabet:
+        if size < 1:
             raise ValueError("an alphabet needs at least one letter")
+        return super().__new__(cls, size)
 
     def letters(self) -> range:
         return range(self.size)

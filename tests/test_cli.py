@@ -132,6 +132,28 @@ def test_lazard_under_reversed_order(capsys):
     assert (code, out) == (0, "0 10 1\n")
 
 
+def test_lazard_reversed_trace_sorts_each_working_set(capsys):
+    # the run under the reversed order, printed from the relabeled plain
+    # run; each working set is relabeled before it is sorted
+    code, out, err = run(
+        capsys, "lazard", "--side", "right", "--select", "max", "-k", "2",
+        "-n", "4", "--perm", "reverse", "--trace",
+    )
+    assert (code, out) == (0, (
+        "1 | 0 1 | 0\n"
+        "2 | 1 10 100 1000 | 1000\n"
+        "3 | 1 10 100 | 100\n"
+        "4 | 1 10 1100 | 10\n"
+        "5 | 1 110 1100 | 1100\n"
+        "6 | 1 110 | 110\n"
+        "7 | 1 1110 | 1110\n"
+        "8 | 1 | 1\n"
+    ))
+    for line in out.splitlines():
+        working_set = line.split(" | ")[1].split()
+        assert working_set == sorted(working_set)
+
+
 def test_codes_comma_free_yes(capsys):
     code, out, err = run(capsys, "codes", "comma-free", "-k", "2", "-n", "4")
     assert (code, out) == (0, "comma-free: yes\n")
@@ -211,6 +233,26 @@ def test_usage_errors_exit_2(capsys):
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def checkout_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
+
+
+def test_codes_circular_refuses_work_past_its_budget(tmp_path):
+    # 48 codewords over four blocks would be 5.4 million messages; the
+    # search must refuse before it starts, not run for minutes
+    proc = subprocess.run(
+        [sys.executable, "-m", "nyldon.cli", "codes", "circular", "-k", "3", "-n", "5"],
+        capture_output=True, text=True, env=checkout_env(), cwd=tmp_path, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error:")
+    assert "48 codewords" in proc.stderr and "100000" in proc.stderr
+
+
 def test_console_script_is_installed(tmp_path):
     """The declared `nyldon` console script runs this checkout's code.
 
@@ -229,13 +271,9 @@ def test_console_script_is_installed(tmp_path):
         "sys.argv[0] = 'nyldon'\n"
         f"sys.exit({func}())\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
     proc = subprocess.run(
         [sys.executable, "-c", wrapper, "test", "10110"],
-        capture_output=True, text=True, env=env, cwd=tmp_path,
+        capture_output=True, text=True, env=checkout_env(), cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "true\n"

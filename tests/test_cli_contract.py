@@ -5,8 +5,8 @@ Every subcommand gets valid small inputs, malformed words, sizes 0 and
 and no exception escapes `main`; exit 1 prints nothing on stdout and
 `error: ...` on stderr; and the one-word commands print the library's
 answer.  Words stay at most 24 letters and sizes at most 5.  The
-bounded circular-code search has no work budget yet (k=3, n=4 takes
-seconds), so `codes circular` draws at most two letters.
+bounded circular-code search admits up to 10^5 messages, which can
+take seconds, so `codes circular` draws at most two letters.
 """
 
 import contextlib

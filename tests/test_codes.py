@@ -149,6 +149,16 @@ def test_comma_free_codes_here_are_circular():
         assert is_circular_bounded(c, n, 3 * n).holds
 
 
+def test_circular_search_refuses_past_its_budget():
+    # 18 codewords in up to four blocks: 111,150 messages, past the budget
+    with pytest.raises(ValueError, match="18 codewords of length 4 up to 16 letters"):
+        is_circular_bounded(code(3, 4), 4)
+    # 8 codewords in up to four blocks: 4,680 messages, inside it
+    assert is_circular_bounded(code(3, 3), 3).holds
+    # the empty code parses only the empty message, at any bound
+    assert is_circular_bounded(set(), 2, 10 ** 9).holds
+
+
 def test_circular_bound_validation():
     with pytest.raises(ValueError):
         is_circular_bounded(code(2, 3), 3, 5)  # below two blocks
