@@ -4,14 +4,14 @@ A set C of words, all of length n, is comma-free when no codeword
 straddles a boundary inside a message: uxv in C* with x in C+ forces
 u, v in C*.  It is circular when uv, vu in C* forces u, v in C*.
 Comma-freeness of a uniform code reduces to a two-codeword window and
-is decided exactly; circularity is searched only up to a total message
-length, so a positive circular verdict rules out short counterexamples
-and nothing more.
+is decided exactly; circularity is searched up to a total message
+length, which decides it exactly once that length reaches n|C| and
+otherwise rules out short counterexamples only.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterable, NamedTuple
 
 from .factorization import is_nyldon
@@ -84,13 +84,17 @@ def is_comma_free_uniform(code: Iterable[Word], n: int) -> CodeVerdict:
 def is_circular_bounded(code: Iterable[Word], n: int, max_total: int | None = None) -> CodeVerdict:
     """Search for a circularity counterexample among short messages.
 
-    Considers every pair u, v with uv in C* and |uv| <= max_total
-    (default 4n), looking for vu in C* while u itself does not parse.
-    Cuts at multiples of n are skipped since both halves then parse
-    trivially.  A negative verdict is definitive; a positive one is
-    bounded evidence only.  Cost grows as |C|^(max_total/n), so a search
-    that would try more than CIRCULAR_MESSAGE_BUDGET messages is refused
-    with ValueError before it starts.
+    Looks for a message uv in C* of at most max_total letters (default
+    4n) with vu in C* while u itself does not parse.  Cut x1...xb at r
+    letters into block j: the n-blocks of vu are the cyclic straddles
+    x_i[r:] x_{i+1}[:r], the same for every j, so only cuts 0 < r < n
+    in the first block are tried.  The straddles form a closed walk in
+    the graph with an edge y -> z whenever y[r:] z[:r] is a codeword;
+    the shortest closed walk is a cycle, so no message of more than |C|
+    blocks is tried.  A negative verdict is definitive, and so is a
+    positive one once max_total >= n*|C|; below that it is bounded
+    evidence only.  A search that would try more than
+    CIRCULAR_MESSAGE_BUDGET messages raises ValueError before it starts.
     """
     words = _uniform(code, n)
     if max_total is None:
@@ -98,23 +102,18 @@ def is_circular_bounded(code: Iterable[Word], n: int, max_total: int | None = No
     if max_total < 2 * n:
         raise ValueError("max_total must allow at least two codewords")
     ordered = sorted(words)
-    if not ordered:
-        return CodeVerdict(True)  # only the empty message parses, at any bound
-    messages = 0
-    for blocks in range(1, max_total // n + 1):
-        messages += len(ordered) ** blocks
-        if messages > CIRCULAR_MESSAGE_BUDGET:
-            raise ValueError(
-                f"circular search over {len(ordered)} codewords of length {n} up to {max_total}"
-                f" letters needs more than the budget of {CIRCULAR_MESSAGE_BUDGET} messages"
-            )
-    for blocks in range(1, max_total // n + 1):
+    lengths = range(1, min(max_total // n, len(ordered)) + 1)
+    totals = accumulate(len(ordered) ** blocks for blocks in lengths)
+    if any(total > CIRCULAR_MESSAGE_BUDGET for total in totals):
+        raise ValueError(
+            f"circular search over {len(ordered)} codewords of length {n} up to {max_total}"
+            f" letters needs more than the budget of {CIRCULAR_MESSAGE_BUDGET} messages"
+        )
+    for blocks in lengths:
         for msg in product(ordered, repeat=blocks):
             w = sum(msg, ())
-            for c in range(1, len(w)):
-                if c % n == 0:
-                    continue
-                u, v = w[:c], w[c:]
+            for r in range(1, n):
+                u, v = w[:r], w[r:]
                 if in_code_star(words, n, v + u):
                     return CodeVerdict(False, (u, v))
     return CodeVerdict(True)

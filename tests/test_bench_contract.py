@@ -1,16 +1,24 @@
-"""The benchmark's tracer still finds every function it rebinds.
+"""The benchmark's tracer and pinned outputs still fit this checkout.
 
 `bench/tracer.py` times each layer by rebinding the `module.function`
 names in its `LAYERS` table, so renaming or moving one of them breaks
 only a traced benchmark run.  This runs the tracer's install and
 uninstall in a fresh interpreter, with this checkout's `src` and
-`bench` on the path, and changes nothing under `bench/`.
+`bench` on the path.  The combinatorics workload checks each job's
+stdout against a sha256 in `bench/digests.json`; those digests are
+checked here too.  Nothing under `bench/` is changed.
 """
 
+import contextlib
+import hashlib
+import io
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from nyldon.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,3 +54,15 @@ def test_tracer_wraps_every_layer_and_restores_it():
         [sys.executable, "-c", SCRIPT], capture_output=True, text=True, env=env, cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_combinatorics_outputs_match_their_pinned_digests():
+    pinned = json.loads((ROOT / "bench" / "digests.json").read_text())
+    differ = []
+    for key, digest in pinned.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(key.split(" "))
+        if code != 0 or hashlib.sha256(out.getvalue().encode()).hexdigest() != digest:
+            differ.append(key)
+    assert not differ, differ

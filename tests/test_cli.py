@@ -175,6 +175,13 @@ def test_codes_circular(capsys):
     assert (code, out) == (
         0, "circular (bounded search, messages up to 6 letters): yes\n",
     )
+    # two codewords never need more than two blocks, whatever the bound
+    code, out, err = run(
+        capsys, "codes", "circular", "-k", "2", "-n", "3", "--bound", "1000"
+    )
+    assert (code, out) == (
+        0, "circular (bounded search, messages up to 1000 letters): yes\n",
+    )
 
 
 def test_bijection_rows(capsys):

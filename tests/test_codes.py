@@ -1,8 +1,10 @@
 """Block-code checks on the fixed-length Nyldon codes."""
 
 import os
+import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -157,6 +159,53 @@ def test_circular_search_refuses_past_its_budget():
     assert is_circular_bounded(code(3, 3), 3).holds
     # the empty code parses only the empty message, at any bound
     assert is_circular_bounded(set(), 2, 10 ** 9).holds
+    # 2 codewords need at most 2 blocks, however long the bound
+    assert is_circular_bounded(code(2, 3), 3, 1000).holds
+
+
+def circular_definitional(code, n, max_total):
+    """The first (u, v) with uv a message of at most max_total letters,
+    cut anywhere but at a block boundary, and vu in C*; messages by
+    block count then in lexicographic order, cuts left to right.  None
+    when the code is circular up to the bound; "refused" past 1000
+    messages, which keeps this exhaustive search quick."""
+    words = frozenset(code)
+    ordered = sorted(words)
+    lengths = range(1, max_total // n + 1)
+    if sum(len(ordered) ** b for b in lengths) > 1000:
+        return "refused"
+    for b in lengths:
+        for msg in product(ordered, repeat=b):
+            m = sum(msg, ())
+            for c in range(1, len(m)):
+                if c % n and in_code_star(words, n, m[c:] + m[:c]):
+                    return m[:c], m[c:]
+    return None
+
+
+def test_circular_search_matches_the_definition():
+    rng = random.Random(8)
+    compared = several_blocks = 0
+    for _ in range(1200):
+        k, n = rng.randint(2, 4), rng.randint(1, 5)
+        candidates = list(product(range(k), repeat=n))
+        c = rng.sample(candidates, rng.randint(0, min(8, len(candidates))))
+        max_total = rng.randint(2 * n, 5 * n)
+        expected = circular_definitional(c, n, max_total)
+        if expected == "refused":
+            continue
+        verdict = is_circular_bounded(c, n, max_total)
+        assert verdict == (expected is None, expected), (c, n, max_total)
+        compared += 1
+        several_blocks += expected is not None and len(expected[0] + expected[1]) > n
+    assert compared > 1000 and several_blocks > 0
+    # the witness spans 3 blocks, as many as there are codewords
+    c = {w("0001"), w("0111"), w("1100")}
+    witness = (w("00"), w("0111000111"))
+    assert circular_definitional(c, 4, 16) == witness
+    for max_total in (None, 12):
+        assert is_circular_bounded(c, 4, max_total) == (False, witness)
+    assert is_circular_bounded(c, 4, 8).holds
 
 
 def test_circular_bound_validation():
