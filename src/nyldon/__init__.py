@@ -45,6 +45,7 @@ from .codes import (
 from .oracle import (
     count_by_length,
     counting_bijection,
+    enumerate_by_filter,
     exhaustive_factorizations,
     is_comma_free_definitional,
     is_forbidden_prefix_upto,

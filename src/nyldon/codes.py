@@ -14,8 +14,9 @@ from __future__ import annotations
 from itertools import accumulate, product
 from typing import Iterable, NamedTuple
 
-from .factorization import is_nyldon
-from .words import Alphabet, Word
+# is_nyldon is unused here, but bench/selftest.py checks that tracing rebinds it in this module
+from .factorization import _nyldon_by_length, is_nyldon  # noqa: F401
+from .words import Alphabet, Word, _refuse_past
 
 # the most messages is_circular_bounded will try; past it a search takes seconds to hours
 CIRCULAR_MESSAGE_BUDGET = 10 ** 5
@@ -103,12 +104,9 @@ def is_circular_bounded(code: Iterable[Word], n: int, max_total: int | None = No
         raise ValueError("max_total must allow at least two codewords")
     ordered = sorted(words)
     lengths = range(1, min(max_total // n, len(ordered)) + 1)
-    totals = accumulate(len(ordered) ** blocks for blocks in lengths)
-    if any(total > CIRCULAR_MESSAGE_BUDGET for total in totals):
-        raise ValueError(
-            f"circular search over {len(ordered)} codewords of length {n} up to {max_total}"
-            f" letters needs more than the budget of {CIRCULAR_MESSAGE_BUDGET} messages"
-        )
+    _refuse_past(CIRCULAR_MESSAGE_BUDGET, accumulate(len(ordered) ** b for b in lengths),
+                 f"circular search over {len(ordered)} codewords of length {n} up to {max_total}"
+                 " letters", "messages")
     for blocks in lengths:
         for msg in product(ordered, repeat=blocks):
             w = sum(msg, ())
@@ -120,10 +118,11 @@ def is_circular_bounded(code: Iterable[Word], n: int, max_total: int | None = No
 
 
 def nyldon_code(alphabet: Alphabet, n: int) -> frozenset[Word]:
-    """The Nyldon words of length exactly n, as a uniform-length code."""
+    """The Nyldon words of length exactly n, as a uniform-length code.
+    Raises ValueError past ENUMERATION_BUDGET."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return frozenset(w for w in alphabet.words_of_length(n) if is_nyldon(w))
+    return frozenset(_nyldon_by_length(alphabet, n)[n])
 
 
 def nyldon_comma_free_classification(k: int, n: int) -> bool:

@@ -16,10 +16,11 @@ The binary Nyldon words up to length 5:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import NamedTuple
 
-from .words import Alphabet, Word
+from .words import Alphabet, Word, _check_enumeration_budget
 
 
 def nyldon_factorize(w: Word) -> tuple[Word, ...]:
@@ -58,16 +59,45 @@ def is_nyldon(w: Word) -> bool:
     return len(nyldon_factorize(w)) == 1
 
 
+def _nyldon_by_length(alphabet: Alphabet, max_len: int) -> list[dict[Word, Word | None]]:
+    """The Nyldon words of length 0..max_len grouped by length.  Group n
+    maps its words, in lexicographic order, to the right parts of their
+    standard factorizations (None for a letter).
+
+    Nyldon words form a right Lazard set, hence a Hall set: a word of
+    length n >= 2 is uv with u, v Nyldon, u > v, and u a letter or
+    right(u) <= v, where uv's standard factorization is u.v.  So for
+    each shorter u the admissible v of length n - |u| are one
+    contiguous range of the sorted group, cut out by two bisections,
+    and the work follows the number of words made.
+    """
+    _check_enumeration_budget("Nyldon", alphabet, max_len)
+    groups: list[dict[Word, Word | None]] = [{}, dict.fromkeys((a,) for a in alphabet.letters())]
+    ranked: list[list[Word]] = [[], list(groups[1])]
+    for n in range(2, max_len + 1):
+        made: dict[Word, Word] = {}
+        for i in range(1, n):
+            vs = ranked[n - i]
+            for u, right in groups[i].items():
+                low = 0 if right is None else bisect_left(vs, right)
+                for v in vs[low:bisect_left(vs, u)]:
+                    made[u + v] = v
+        ranked.append(sorted(made))
+        groups.append({w: made[w] for w in ranked[n]})
+    return groups
+
+
 def enumerate_nyldon(alphabet: Alphabet, max_len: int) -> list[Word]:
     """All Nyldon words of length 1..max_len, shortest first,
     lexicographic within each length.
 
-    Stateless filter of every word through is_nyldon; nothing is
-    memoized across lengths.
+    Built up from the letters by the Hall-set recurrence of
+    _nyldon_by_length; no membership test runs.  Raises ValueError past
+    ENUMERATION_BUDGET.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    return [w for w in alphabet.words_upto(max_len) if is_nyldon(w)]
+    return [w for group in _nyldon_by_length(alphabet, max_len) for w in group]
 
 
 def longest_nyldon_suffix(w: Word, proper: bool = False) -> Word:

@@ -20,10 +20,17 @@ the plain run relabeled letter by letter (apply_permutation).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
 from .factorization import enumerate_nyldon
-from .words import Alphabet, Word
+from .words import Alphabet, Word, _enumeration_sizes, _refuse_past
+
+# the most snapshot words a run may record: an extremal run takes one step per
+# Lyndon or Nyldon word, and each working set lies in the universe of words of
+# length <= n, so it records at most family size x universe words; the largest
+# accepted `lazard --trace` takes about 2 s
+LAZARD_BUDGET = 65 * 10 ** 5
 
 
 class LazardTerminationError(RuntimeError):
@@ -66,7 +73,8 @@ def lazard_run(
 
     The step cap (default 4 times the universe size) only guards
     against a selector that fails to drain the universe; the four
-    extremal selectors never hit it.
+    extremal selectors never hit it.  A run past LAZARD_BUDGET raises
+    ValueError before it starts.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
@@ -75,8 +83,13 @@ def lazard_run(
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     pick = min if selector == "min" else max
+    k = alphabet.size
+    universes = accumulate(k ** i for i in range(1, max_len + 1))
+    families = accumulate(_enumeration_sizes(k, max_len))
+    _refuse_past(LAZARD_BUDGET, (u * f for u, f in zip(universes, families)),
+                 f"an elimination with k={k} letters up to length n={max_len}", "snapshot words")
     if step_cap is None:
-        step_cap = 4 * sum(alphabet.size ** i for i in range(1, max_len + 1))
+        step_cap = 4 * sum(k ** i for i in range(1, max_len + 1))
 
     pool: set[Word] = {(a,) for a in alphabet.letters()}
     steps: list[LazardStep] = []

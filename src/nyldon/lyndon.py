@@ -9,7 +9,7 @@ Lyndon conjugate are both read off it.
 
 from __future__ import annotations
 
-from .words import Alphabet, Word, is_primitive
+from .words import Alphabet, Word, _check_enumeration_budget, is_primitive
 
 
 def is_lyndon(w: Word) -> bool:
@@ -64,13 +64,37 @@ def lyndon_conjugate(w: Word) -> Word:
     return next(f for f in lyndon_factorize(w + w) if len(f) == n)
 
 
+def _lyndon_by_length(alphabet: Alphabet, max_len: int) -> list[list[Word]]:
+    """The Lyndon words of length 0..max_len grouped by length, each
+    group in lexicographic order.
+
+    Duval's (1988) successor step visits every Lyndon word of length
+    <= max_len in lexicographic order: repeat w periodically up to
+    max_len letters, drop the trailing maximal letters, and increment
+    the last letter left.
+    """
+    _check_enumeration_budget("Lyndon", alphabet, max_len)
+    top = alphabet.size - 1
+    groups: list[list[Word]] = [[] for _ in range(max_len + 1)]
+    w = [0]
+    while w:
+        groups[len(w)].append(tuple(w))
+        w = (w * (max_len // len(w) + 1))[:max_len]
+        while w and w[-1] == top:
+            w.pop()
+        if w:
+            w[-1] += 1
+    return groups
+
+
 def enumerate_lyndon(alphabet: Alphabet, max_len: int) -> list[Word]:
     """All Lyndon words of length 1..max_len, shortest first,
     lexicographic within each length.
 
-    Plain filter over all words; the enumeration bound keeps this at
-    desk scale and mirrors the Nyldon enumeration path exactly.
+    Generated in lexicographic order by Duval's successor step and
+    bucketed by length; no membership test runs.  Raises ValueError
+    past ENUMERATION_BUDGET.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    return [w for w in alphabet.words_upto(max_len) if is_lyndon(w)]
+    return [w for group in _lyndon_by_length(alphabet, max_len) for w in group]

@@ -3,25 +3,32 @@
 Everything here recomputes from first principles what lyndon.py,
 factorization.py and codes.py compute by algorithm: membership straight
 from the recursive definitions, factorizations by exhaustive search
-over split points, per-length counts cross-checked by the classical
-aperiodic necklace formula, the rank-matching bijection between
-non-Lyndon and non-Nyldon words of a fixed length, forbidden prefixes
-by trying every extension, and comma-freeness by cutting every short
-message.  Tests pit the two sides against each other.  The CLI also
-uses three of them: count_by_length for `count`, necklace_count for
-`count --check-formula`, and counting_bijection for `bijection`.
+over split points, the two enumerations by filtering all k**n words,
+the classical aperiodic necklace formula for the per-length counts, the
+rank-matching bijection between non-Lyndon and non-Nyldon words of a
+fixed length, forbidden prefixes by trying every extension, and
+comma-freeness by cutting every short message.  Tests pit the two sides
+against each other.  The CLI also uses three functions from here:
+count_by_length for `count` (the sizes of the generators' length
+groups), necklace_count for `count --check-formula`, and
+counting_bijection for `bijection`, which ranks the generators' groups
+and maps every word of the given length.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from typing import Callable, Iterable
 
 from .codes import CodeVerdict, _uniform, in_code_star
-from .factorization import enumerate_nyldon, is_nyldon
-from .lyndon import enumerate_lyndon, is_lyndon, lyndon_factorize
-from .words import Alphabet, Word
+from .factorization import _nyldon_by_length, is_nyldon
+from .lyndon import _lyndon_by_length, is_lyndon, lyndon_factorize
+from .words import Alphabet, Word, _refuse_past
+
+# the most words of length <= n counting_bijection takes on (it maps those of
+# length n and ranks the shorter ones); the largest accepted `bijection` takes about 2 s
+BIJECTION_BUDGET = 2 ** 17
 
 
 def _has_monotone_split(w: Word, member: Callable[[Word], bool], nondecreasing: bool) -> bool:
@@ -152,16 +159,29 @@ def necklace_count(k: int, n: int) -> int:
     return total // n
 
 
+def enumerate_by_filter(family: str, alphabet: Alphabet, max_len: int) -> list[Word]:
+    """The family's words of length 1..max_len, shortest first and
+    lexicographic within each length, by testing every one of the
+    k + k**2 + ... + k**max_len words for membership.
+
+    The reference for the generators behind enumerate_lyndon and
+    enumerate_nyldon, which build their words without a membership test.
+    """
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    member = {"lyndon": is_lyndon, "nyldon": is_nyldon}[family]
+    return [w for w in alphabet.words_upto(max_len) if member(w)]
+
+
 def count_by_length(family: str, alphabet: Alphabet, n_max: int) -> list[int]:
     """Per-length counts of the family's words over the alphabet,
-    lengths 1..n_max (index 0 is length 1), by plain enumeration."""
+    lengths 1..n_max (index 0 is length 1): the sizes of the groups the
+    family's generator makes.  Raises ValueError past
+    ENUMERATION_BUDGET."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    enum = {"lyndon": enumerate_lyndon, "nyldon": enumerate_nyldon}[family]
-    counts = [0] * n_max
-    for w in enum(alphabet, n_max):
-        counts[len(w) - 1] += 1
-    return counts
+    by_length = {"lyndon": _lyndon_by_length, "nyldon": _nyldon_by_length}[family]
+    return [len(group) for group in by_length(alphabet, n_max)[1:]]
 
 
 def counting_bijection(alphabet: Alphabet, n: int) -> dict[Word, Word]:
@@ -178,20 +198,24 @@ def counting_bijection(alphabet: Alphabet, n: int) -> dict[Word, Word]:
     The image sequence is then the unique nondecreasing Nyldon
     factorization of the result, so the image has at least two factors
     and is non-Nyldon.  Bijectivity is checked, not proved here.
+    More than BIJECTION_BUDGET words of length <= n raise ValueError
+    before any work starts.
     """
     if n < 2:
         raise ValueError("needs length >= 2")
+    k = alphabet.size
+    _refuse_past(BIJECTION_BUDGET, accumulate(k ** d for d in range(1, n + 1)),
+                 f"a bijection with k={k} letters at length n={n}")
+    lyndon, nyldon = _lyndon_by_length(alphabet, n - 1), _nyldon_by_length(alphabet, n - 1)
     rank_image: dict[Word, Word] = {}
     for d in range(1, n):
-        # words_of_length is lexicographic, so both lists come out ranked
-        lyndon_d = [w for w in alphabet.words_of_length(d) if is_lyndon(w)][::-1]
-        nyldon_d = [w for w in alphabet.words_of_length(d) if is_nyldon(w)]
-        if len(lyndon_d) != len(nyldon_d):
+        # each group is lexicographic, so both come out ranked
+        if len(lyndon[d]) != len(nyldon[d]):
             raise AssertionError(
-                f"{len(lyndon_d)} Lyndon but {len(nyldon_d)} Nyldon words of length {d}"
-                f" over {alphabet.size} letters"
+                f"{len(lyndon[d])} Lyndon but {len(nyldon[d])} Nyldon words of length {d}"
+                f" over {k} letters"
             )
-        rank_image.update(zip(lyndon_d, nyldon_d))
+        rank_image.update(zip(reversed(lyndon[d]), nyldon[d]))
 
     mapping: dict[Word, Word] = {}
     for w in alphabet.words_of_length(n):
@@ -205,7 +229,7 @@ def counting_bijection(alphabet: Alphabet, n: int) -> dict[Word, Word]:
         mapping[w] = image
     if len(set(mapping.values())) != len(mapping):
         raise AssertionError(
-            f"the map on length-{n} words over {alphabet.size} letters is not injective"
+            f"the map on length-{n} words over {k} letters is not injective"
         )
     return mapping
 

@@ -16,6 +16,10 @@ from typing import Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
 
+# the largest enumeration of either family taken on, in the size measure of
+# _check_enumeration_budget; the largest accepted `enumerate` takes about 2 s
+ENUMERATION_BUDGET = 3 * 10 ** 5
+
 
 def rotations(w: Word) -> list[Word]:
     """The |w| rotations w[i:] + w[:i] for i = 0..|w|-1, in that order.
@@ -77,6 +81,29 @@ def _read_letters(tokens: list[str], text: str) -> Word:
     if not all(t.isascii() and t.isdigit() for t in tokens):
         raise ValueError(f"cannot parse word {text!r}")
     return tuple(map(int, tokens))
+
+
+def _refuse_past(budget: int, totals: Iterable[int], what: str, unit: str = "words") -> None:
+    """Raise ValueError, naming what, at the first of the nondecreasing
+    running totals that passes budget.  Pass the totals lazily, and a
+    huge request is refused at once."""
+    if any(total > budget for total in totals):
+        raise ValueError(f"{what} needs more than the budget of {budget} {unit}")
+
+
+def _enumeration_sizes(k: int, max_len: int) -> Iterator[int]:
+    """max(d, ceil(k**d / d)) for d = 1..max_len.  Length d holds at most
+    k**d/d Lyndon or Nyldon words (their number is the aperiodic
+    necklace count), and building it costs at least its d - 1 splits."""
+    return (max(d, -(-k ** d // d)) for d in range(1, max_len + 1))
+
+
+def _check_enumeration_budget(family: str, alphabet: Alphabet, max_len: int) -> None:
+    """Refuse an enumeration of the family's words of length <= max_len
+    whose _enumeration_sizes sum past ENUMERATION_BUDGET."""
+    k = alphabet.size
+    _refuse_past(ENUMERATION_BUDGET, itertools.accumulate(_enumeration_sizes(k, max_len)),
+                 f"enumerating {family} words with k={k} letters up to length n={max_len}")
 
 
 class Alphabet(namedtuple("Alphabet", "size")):

@@ -260,6 +260,27 @@ def test_codes_circular_refuses_work_past_its_budget(tmp_path):
     assert "48 codewords" in proc.stderr and "100000" in proc.stderr
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["enumerate", "-k", "2", "--max-len", "40"], ("k=2", "n=40", "300000 words")),
+    (["enumerate", "-k", "3", "--max-len", "30", "--family", "lyndon"],
+     ("k=3", "n=30", "300000 words")),
+    (["count", "-k", "1", "-n", "1000000000"], ("k=1", "n=1000000000", "300000 words")),
+    (["bijection", "-k", "2", "-n", "40"], ("k=2", "n=40", "131072 words")),
+    (["lazard", "--side", "right", "--select", "min", "-k", "2", "-n", "30"],
+     ("k=2", "n=30", "6500000 snapshot words")),
+])
+def test_size_commands_refuse_work_past_their_budgets(tmp_path, argv, names):
+    # each of these would run for hours or exhaust memory; the command
+    # must refuse before it starts
+    proc = subprocess.run(
+        [sys.executable, "-m", "nyldon.cli", *argv],
+        capture_output=True, text=True, env=checkout_env(), cwd=tmp_path, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error:")
+    assert all(name in proc.stderr for name in names), proc.stderr
+
+
 def test_console_script_is_installed(tmp_path):
     """The declared `nyldon` console script runs this checkout's code.
 

@@ -18,3 +18,18 @@ def test_no_bare_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert found == [], f"bare assert statements in src/nyldon: {', '.join(found)}"
+
+
+def test_no_exhaustive_word_scans_in_production():
+    # filtering all k**n words belongs to the oracle; production code
+    # builds the words it needs
+    scans = {"words_of_length", "words_upto"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in ("words.py", "oracle.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) in scans or getattr(node.func, "id", None) in scans)
+    ]
+    assert found == [], f"exhaustive word scans outside words.py and oracle.py: {', '.join(found)}"
