@@ -20,16 +20,12 @@ from .factorization import (
     standard_factorization,
 )
 from .conjugacy import (
-    lyndon_to_nyldon,
     melancon_nyldon_conjugate,
     nyldon_conjugate_bruteforce,
-    nyldon_to_lyndon,
 )
 from .lazard import (
     LazardStep,
-    LazardTerminationError,
     LazardTrace,
-    lazard_extract,
     lazard_run,
     lazard_stepcount_nyldon,
 )

@@ -1,18 +1,18 @@
-"""Conjugacy classes and the Lyndon <-> Nyldon bijection.
+"""The unique Nyldon rotation of a primitive word.
 
 Every primitive word has exactly one Nyldon word among its rotations,
-just as it has exactly one Lyndon word, so rotating gives a
-length-preserving bijection between the two families.  Two routes to
-the Nyldon rotation are provided: Melancon's procedure (the fast path),
-which runs the right Lazard elimination on the circular word and never
-runs a membership test, and testing every rotation (the reference that
-the tests and `nyldon conjugate --verify` check it against).
+just as it has exactly one Lyndon word (lyndon.lyndon_conjugate), so
+rotating gives a length-preserving bijection between the two families.
+Two routes to the Nyldon rotation are provided: Melancon's procedure
+(the fast path), which runs the right Lazard elimination on the
+circular word and never runs a membership test, and testing every
+rotation (the reference that the tests and `nyldon conjugate --verify`
+check it against).
 """
 
 from __future__ import annotations
 
 from .factorization import is_nyldon
-from .lyndon import is_lyndon, lyndon_conjugate
 from .words import Word, is_primitive, rotations
 
 
@@ -57,16 +57,3 @@ def melancon_nyldon_conjugate(w: Word) -> Word:
         blocks = merged
     return blocks[0]
 
-
-def lyndon_to_nyldon(w: Word) -> Word:
-    """The Nyldon representative of a Lyndon word's rotation class."""
-    if not is_lyndon(w):
-        raise ValueError("not a Lyndon word")
-    return melancon_nyldon_conjugate(w)
-
-
-def nyldon_to_lyndon(w: Word) -> Word:
-    """The Lyndon representative of a Nyldon word's rotation class."""
-    if not is_nyldon(w):
-        raise ValueError("not a Nyldon word")
-    return lyndon_conjugate(w)

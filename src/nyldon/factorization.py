@@ -17,7 +17,6 @@ The binary Nyldon words up to length 5:
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from typing import NamedTuple
 
 from .words import Alphabet, Word, _check_enumeration_budget
@@ -39,13 +38,13 @@ def nyldon_factorize(w: Word) -> tuple[Word, ...]:
     """
     if not w:
         raise ValueError("cannot factorize the empty word")
-    factors: deque[Word] = deque([w[-1:]])
-    for i in range(len(w) - 2, -1, -1):
-        factors.appendleft(w[i:i + 1])
-        while len(factors) >= 2 and factors[0] > factors[1]:
-            head = factors.popleft()
-            factors.appendleft(head + factors.popleft())
-    return tuple(factors)
+    stack: list[Word] = []  # the factors, last factor first
+    for i in range(len(w) - 1, -1, -1):
+        head = w[i:i + 1]
+        while stack and head > stack[-1]:
+            head += stack.pop()
+        stack.append(head)
+    return tuple(reversed(stack))
 
 
 def is_nyldon(w: Word) -> bool:

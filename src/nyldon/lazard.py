@@ -33,11 +33,6 @@ from .words import Alphabet, Word, _enumeration_sizes, _refuse_past
 LAZARD_BUDGET = 65 * 10 ** 5
 
 
-class LazardTerminationError(RuntimeError):
-    """The elimination exceeded its step cap without reaching a
-    singleton; the selector does not behave like a Lazard set here."""
-
-
 class LazardStep(NamedTuple):
     """One step: the working set, in no particular order, and the word
     eliminated from it."""
@@ -61,7 +56,6 @@ def lazard_run(
     selector: str,
     alphabet: Alphabet,
     max_len: int,
-    step_cap: int | None = None,
 ) -> LazardTrace:
     """Run the elimination until the working set is a singleton and
     return the full trace.
@@ -71,10 +65,13 @@ def lazard_run(
     unordered tuple (sort it to print it); the final step records the
     singleton and chooses its element.
 
-    The step cap (default 4 times the universe size) only guards
-    against a selector that fails to drain the universe; the four
-    extremal selectors never hit it.  A run past LAZARD_BUDGET raises
-    ValueError before it starts.
+    Every run ends.  Y* = u*((Y - u)u*)* on the right side and
+    Y* = (u*(Y - u))*u* on the left are unique factorizations, so the
+    eliminated words u_1, ..., u_t and the final working set Y_t satisfy
+    prod_s 1/(1 - x^|u_s|) * 1/(1 - Y_t(x)) = 1/(1 - kx) mod x^(n+1),
+    whatever word each step picks: at most k^l eliminated words have
+    length l, and none is eliminated twice.  A run past LAZARD_BUDGET
+    raises ValueError before it starts.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
@@ -88,16 +85,10 @@ def lazard_run(
     families = accumulate(_enumeration_sizes(k, max_len))
     _refuse_past(LAZARD_BUDGET, (u * f for u, f in zip(universes, families)),
                  f"an elimination with k={k} letters up to length n={max_len}", "snapshot words")
-    if step_cap is None:
-        step_cap = 4 * sum(k ** i for i in range(1, max_len + 1))
 
     pool: set[Word] = {(a,) for a in alphabet.letters()}
     steps: list[LazardStep] = []
     while True:
-        if len(steps) >= step_cap:
-            raise LazardTerminationError(
-                f"no singleton after {step_cap} eliminations ({side}/{selector}, n={max_len})"
-            )
         chosen = pick(pool)
         steps.append(LazardStep(tuple(pool), chosen))
         if len(pool) == 1:
@@ -114,19 +105,6 @@ def lazard_run(
     return LazardTrace(tuple(steps))
 
 
-def lazard_extract(trace: LazardTrace) -> frozenset[Word]:
-    """The set of eliminated words of a completed trace.
-
-    A genuine elimination never removes the same word twice; a
-    duplicate means the selector was not draining a Lazard set, and is
-    reported rather than silently collapsed.
-    """
-    eliminated = trace.eliminated
-    if len(set(eliminated)) != len(eliminated):
-        raise ValueError("duplicate eliminated word; not a Lazard-style run")
-    return frozenset(eliminated)
-
-
 def lazard_stepcount_nyldon(alphabet: Alphabet, max_len: int) -> tuple[int, int]:
     """How early the right/min elimination has produced every Nyldon
     word of length <= max_len.
@@ -137,11 +115,10 @@ def lazard_stepcount_nyldon(alphabet: Alphabet, max_len: int) -> tuple[int, int]
     working set alone can never contain them all past step 1, since
     eliminated words leave it for good.)
     """
-    target = set(enumerate_nyldon(alphabet, max_len))
-    trace = lazard_run("right", "min", alphabet, max_len)
-    produced: set[Word] = set()
-    for j, step in enumerate(trace.steps, 1):
-        if target <= produced | set(step.snapshot):
-            return j, len(target)
-        produced.add(step.chosen)
+    missing = set(enumerate_nyldon(alphabet, max_len))
+    count = len(missing)
+    for j, step in enumerate(lazard_run("right", "min", alphabet, max_len).steps, 1):
+        missing.difference_update(step.snapshot)
+        if not missing:
+            return j, count
     raise AssertionError("right/min elimination failed to cover the Nyldon words")

@@ -10,14 +10,13 @@ import pytest
 from nyldon import (
     Alphabet,
     LazardStep,
-    LazardTerminationError,
     LazardTrace,
     apply_permutation,
     enumerate_lyndon,
     enumerate_nyldon,
-    lazard_extract,
     lazard_run,
     lazard_stepcount_nyldon,
+    necklace_count,
     reverse_permutation,
 )
 
@@ -202,21 +201,19 @@ def test_lyndon_words_can_appear_late():
     assert w("00001") not in right.steps[11].snapshot
 
 
-def test_step_cap_aborts_runaway_runs():
-    with pytest.raises(LazardTerminationError):
-        lazard_run("left", "min", A2, 5, step_cap=2)
-
-
-def test_extract_returns_the_eliminated_set():
-    trace = lazard_run("right", "min", A2, 4)
-    assert lazard_extract(trace) == frozenset(enumerate_nyldon(A2, 4))
-
-
-def test_extract_rejects_duplicate_eliminations():
-    trace = lazard_run("right", "min", A2, 3)
-    broken = LazardTrace(trace.steps + (trace.steps[-1],))
-    with pytest.raises(ValueError):
-        lazard_extract(broken)
+def test_runs_end_without_repeats_after_one_step_per_necklace():
+    # every run ends, whatever the side and selector: the eliminated words
+    # and the last working set factor the free monoid uniquely, so no word
+    # is eliminated twice and the run takes one step per necklace class
+    for k, top in ((1, 6), (2, 10), (3, 6), (4, 4)):
+        a = Alphabet(k)
+        for n in range(1, top + 1):
+            classes = sum(necklace_count(k, length) for length in range(1, n + 1))
+            for side in ("left", "right"):
+                for sel in ("min", "max"):
+                    trace = lazard_run(side, sel, a, n)
+                    assert len(set(trace.eliminated)) == len(trace.steps), (k, n, side, sel)
+                    assert len(trace.steps) == classes, (k, n, side, sel)
 
 
 def test_rejects_bad_arguments():

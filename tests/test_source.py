@@ -33,3 +33,25 @@ def test_no_exhaustive_word_scans_in_production():
         and (getattr(node.func, "attr", None) in scans or getattr(node.func, "id", None) in scans)
     ]
     assert found == [], f"exhaustive word scans outside words.py and oracle.py: {', '.join(found)}"
+
+
+def test_no_unused_imports():
+    # an import nothing reads is dead weight at start-up and hides what a
+    # module really depends on; a deliberate one says so with `# noqa: F401`
+    # (__init__.py imports only to re-export)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    found.append(f"{path.name}:{alias.lineno} {name}")
+    assert found == [], f"unused imports in src/nyldon: {', '.join(found)}"
