@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import NamedTuple
 
-from .factorization import enumerate_nyldon
+from .factorization import _nyldon_by_length
 from .words import Alphabet, Word, _enumeration_sizes, _refuse_past
 
 # the most snapshot words a run may record: an extremal run takes one step per
@@ -106,19 +106,19 @@ def lazard_run(
 
 
 def lazard_stepcount_nyldon(alphabet: Alphabet, max_len: int) -> tuple[int, int]:
-    """How early the right/min elimination has produced every Nyldon
-    word of length <= max_len.
+    """How early the right/min elimination has produced the Nyldon words
+    of length <= max_len: (j, c), where c counts them and j is the least
+    step by which each has been eliminated or lies in the working set.
 
-    Returns (j, c) where c is the number of such Nyldon words and j is
-    the least step index at which each of them has appeared, either as
-    an already-eliminated word or inside the step-j working set.  (The
-    working set alone can never contain them all past step 1, since
-    eliminated words leave it for good.)
+    The run eliminates the Nyldon words in increasing order, step s the
+    word of rank s, and a word with standard factorization u.v enters
+    the working set when v is eliminated, at step rank(v) + 1.  So j is
+    1 + the rank of the greatest right part _nyldon_by_length records,
+    or of (), ranked 0, when there are only letters.  No run is needed.
     """
-    missing = set(enumerate_nyldon(alphabet, max_len))
-    count = len(missing)
-    for j, step in enumerate(lazard_run("right", "min", alphabet, max_len).steps, 1):
-        missing.difference_update(step.snapshot)
-        if not missing:
-            return j, count
-    raise AssertionError("right/min elimination failed to cover the Nyldon words")
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    groups = _nyldon_by_length(alphabet, max_len)
+    words = [w for group in groups for w in group]
+    last = max((v for group in groups for v in group.values() if v is not None), default=())
+    return 1 + sum(w <= last for w in words), len(words)

@@ -9,7 +9,7 @@ Lyndon conjugate are both read off it.
 
 from __future__ import annotations
 
-from .words import Alphabet, Word, _check_enumeration_budget, is_primitive
+from .words import Alphabet, Word, _check_enumeration_budget
 
 
 def is_lyndon(w: Word) -> bool:
@@ -18,8 +18,6 @@ def is_lyndon(w: Word) -> bool:
     By Chen-Fox-Lyndon that holds exactly when the Lyndon
     factorization of w is w itself.
     """
-    if not w:
-        raise ValueError("the empty word is not eligible")
     return len(lyndon_factorize(w)) == 1
 
 
@@ -56,12 +54,14 @@ def lyndon_conjugate(w: Word) -> Word:
     With w = uv and L = vu the least rotation, w.w = u.L.v and L is one
     of its factors.  No factor is longer than |w|, since it would have
     period |w| and so be bordered, and any factor of length |w| is a
-    Lyndon rotation of w, hence L.
+    Lyndon rotation of w, hence L.  A power has no such factor, since
+    its rotations are powers and Lyndon words are primitive.
     """
-    if not is_primitive(w):
-        raise ValueError("only primitive words have a Lyndon conjugate")
-    n = len(w)
-    return next(f for f in lyndon_factorize(w + w) if len(f) == n)
+    if w:
+        for f in lyndon_factorize(w + w):
+            if len(f) == len(w):
+                return f
+    raise ValueError("only primitive words have a Lyndon conjugate")
 
 
 def _lyndon_by_length(alphabet: Alphabet, max_len: int) -> list[list[Word]]:

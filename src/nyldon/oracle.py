@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, product
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .codes import CodeVerdict, _uniform, in_code_star
 from .factorization import _nyldon_by_length, is_nyldon
@@ -29,6 +29,8 @@ from .words import Alphabet, Word, _refuse_past
 # the most words of length <= n counting_bijection takes on (it maps those of
 # length n and ranks the shorter ones); the largest accepted `bijection` takes about 2 s
 BIJECTION_BUDGET = 2 ** 17
+
+T = TypeVar("T")
 
 
 def _has_monotone_split(w: Word, member: Callable[[Word], bool], nondecreasing: bool) -> bool:
@@ -84,7 +86,11 @@ def recursive_is_lyndon(w: Word) -> bool:
     return not _has_monotone_split(w, recursive_is_lyndon, nondecreasing=False)
 
 
-_MEMBERS = {"lyndon": recursive_is_lyndon, "nyldon": recursive_is_nyldon}
+def _by_family(family: str, lyndon: T, nyldon: T) -> T:
+    """lyndon or nyldon, as the family is "lyndon" or "nyldon"."""
+    if family not in ("lyndon", "nyldon"):
+        raise ValueError(f"family must be 'lyndon' or 'nyldon', not {family!r}")
+    return lyndon if family == "lyndon" else nyldon
 
 
 def exhaustive_factorizations(
@@ -102,7 +108,7 @@ def exhaustive_factorizations(
         raise ValueError("cannot factorize the empty word")
     if len(w) > max_len:
         raise ValueError(f"length {len(w)} exceeds the search bound {max_len}")
-    member = _MEMBERS[family]
+    member = _by_family(family, recursive_is_lyndon, recursive_is_nyldon)
     if monotonicity == "nondecreasing":
         ordered = lambda prev, f: prev <= f
     elif monotonicity == "nonincreasing":
@@ -153,6 +159,8 @@ def necklace_count(k: int, n: int) -> int:
     enumeration are checked against it, but nothing in the package
     derives from it.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     total = sum(_moebius(d) * k ** (n // d) for d in range(1, n + 1) if n % d == 0)
     if total % n:
         raise AssertionError(f"necklace sum {total} for k={k}, n={n} is not a multiple of n")
@@ -169,7 +177,7 @@ def enumerate_by_filter(family: str, alphabet: Alphabet, max_len: int) -> list[W
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    member = {"lyndon": is_lyndon, "nyldon": is_nyldon}[family]
+    member = _by_family(family, is_lyndon, is_nyldon)
     return [w for w in alphabet.words_upto(max_len) if member(w)]
 
 
@@ -180,7 +188,7 @@ def count_by_length(family: str, alphabet: Alphabet, n_max: int) -> list[int]:
     ENUMERATION_BUDGET."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    by_length = {"lyndon": _lyndon_by_length, "nyldon": _nyldon_by_length}[family]
+    by_length = _by_family(family, _lyndon_by_length, _nyldon_by_length)
     return [len(group) for group in by_length(alphabet, n_max)[1:]]
 
 

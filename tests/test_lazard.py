@@ -19,6 +19,8 @@ from nyldon import (
     necklace_count,
     reverse_permutation,
 )
+from nyldon.factorization import _nyldon_by_length
+from nyldon.words import ENUMERATION_BUDGET
 
 from golden import (
     ELIM_LEFT_MAX,
@@ -190,6 +192,54 @@ def test_nyldon_cover_stepcounts():
     assert lazard_stepcount_nyldon(A3, 4) == (11, 32)
 
 
+# alphabet sizes and the longest words whose right/min runs are checked in full
+BIRTH_RANGES = ((1, 6), (2, 10), (3, 6), (4, 4))
+
+
+def stepcount_by_run(alphabet, max_len):
+    """The step count by definition: the first step by which every Nyldon
+    word has been eliminated or lies in the working set."""
+    missing = set(enumerate_nyldon(alphabet, max_len))
+    count = len(missing)
+    for j, step in enumerate(lazard_run("right", "min", alphabet, max_len).steps, 1):
+        missing.difference_update(step.snapshot)
+        if not missing:
+            return j, count
+    raise AssertionError("right/min elimination failed to cover the Nyldon words")
+
+
+def test_nyldon_words_are_born_after_their_right_part():
+    # the right/min run eliminates the words in increasing order, and a
+    # word enters the working set when the right part of its standard
+    # factorization is eliminated: at step 1 + its rank, or 1 for a letter
+    for k, top in BIRTH_RANGES:
+        a = Alphabet(k)
+        for n in range(1, top + 1):
+            first = {}
+            for s, step in enumerate(lazard_run("right", "min", a, n).steps, 1):
+                for v in step.snapshot:
+                    first.setdefault(v, s)
+            groups = _nyldon_by_length(a, n)
+            rank = {v: r for r, v in enumerate(sorted(v for g in groups for v in g), 1)}
+            for group in groups:
+                for v, right in group.items():
+                    assert first[v] == (1 if right is None else 1 + rank[right]), (k, n, v)
+
+
+def test_stepcount_equals_the_run_based_reference():
+    for k, top in BIRTH_RANGES:
+        a = Alphabet(k)
+        for n in range(1, top + 1):
+            assert lazard_stepcount_nyldon(a, n) == stepcount_by_run(a, n), (k, n)
+
+
+def test_stepcount_is_bounded_by_the_enumeration_budget():
+    # no run is made, so sizes lazard_run refuses are answered
+    assert lazard_stepcount_nyldon(A2, 14) == (2068, 2538)
+    with pytest.raises(ValueError, match=f"enumerating Nyldon .* n=22 .* {ENUMERATION_BUDGET}"):
+        lazard_stepcount_nyldon(A2, 22)
+
+
 def test_lyndon_words_can_appear_late():
     # the Lyndon-draining runs hold one length-5 word back until the
     # 13th working set, in contrast with the Nyldon cover by step 4
@@ -223,3 +273,5 @@ def test_rejects_bad_arguments():
         lazard_run("left", "median", A2, 3)
     with pytest.raises(ValueError):
         lazard_run("left", "min", A2, 0)
+    with pytest.raises(ValueError):
+        lazard_stepcount_nyldon(A2, 0)

@@ -10,6 +10,7 @@ from nyldon import (
     Alphabet,
     enumerate_lyndon,
     is_lyndon,
+    is_nyldon,
     is_primitive,
     lyndon_conjugate,
     lyndon_factorize,
@@ -30,8 +31,10 @@ def test_membership_pins():
 
 
 def test_membership_rejects_empty():
-    with pytest.raises(ValueError):
-        is_lyndon(())
+    # both memberships read the empty word's error off their factorizer
+    for member in (is_lyndon, is_nyldon):
+        with pytest.raises(ValueError, match="cannot factorize the empty word"):
+            member(())
 
 
 def test_minimal_rotation_characterization(binary_lyndon_upto_12):
@@ -94,8 +97,9 @@ def test_conjugate_of_23_letter_word():
 
 
 def test_conjugate_rejects_non_primitive():
-    with pytest.raises(ValueError):
-        lyndon_conjugate(w("0101"))
+    for v in (w("0101"), w("000"), ()):
+        with pytest.raises(ValueError, match="only primitive words"):
+            lyndon_conjugate(v)
 
 
 def test_conjugate_is_the_lyndon_rotation():

@@ -6,6 +6,7 @@ from nyldon import (
     Alphabet,
     count_by_length,
     counting_bijection,
+    enumerate_by_filter,
     exhaustive_factorizations,
     is_lyndon,
     is_nyldon,
@@ -120,3 +121,14 @@ def test_bijection_properties():
 def test_bijection_needs_length_two():
     with pytest.raises(ValueError):
         counting_bijection(A2, 1)
+
+
+def test_input_errors_are_value_errors():
+    # an unknown family is named, as lazard_run names a bad side or selector
+    for call in (lambda: count_by_length("foo", A2, 3),
+                 lambda: enumerate_by_filter("foo", A2, 3),
+                 lambda: exhaustive_factorizations(w("10"), "foo", "nondecreasing")):
+        with pytest.raises(ValueError, match="'foo'"):
+            call()
+    with pytest.raises(ValueError):
+        necklace_count(2, 0)

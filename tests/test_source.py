@@ -55,3 +55,12 @@ def test_no_unused_imports():
                 if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                     found.append(f"{path.name}:{alias.lineno} {name}")
     assert found == [], f"unused imports in src/nyldon: {', '.join(found)}"
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml promises requires-python >= 3.10; newer syntax would
+    # pass on a newer interpreter and break on the oldest one promised
+    sources = sorted(SRC.glob("*.py"))
+    assert sources, f"no sources under {SRC}"
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
