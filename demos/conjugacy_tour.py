@@ -29,7 +29,8 @@ def show_class(text: str) -> None:
         print(f"    {A2.format(r):<10} {' '.join(tags)}")
     fast = melancon_nyldon_conjugate(word)
     slow = nyldon_conjugate_bruteforce(word)
-    assert fast == slow
+    if fast != slow:
+        raise AssertionError(f"Melancon gave {fast!r}, the rotation scan {slow!r}")
     print(f"  merging procedure and rotation scan agree: {A2.format(fast)}")
     print()
 

@@ -39,7 +39,8 @@ def main() -> None:
         row = []
         for k_param in (0, 1, 2):
             p = forbidden_prefix_family(k_param, family)
-            assert is_forbidden_prefix_upto(p, len(p) + 4, A2)
+            if not is_forbidden_prefix_upto(p, len(p) + 4, A2):
+                raise AssertionError(f"family {family} prefix {A2.format(p)} is not forbidden")
             row.append(A2.format(p))
         print(f"  family {family}: {', '.join(row)}")
 

@@ -137,8 +137,8 @@ def _cmd_codes(args: argparse.Namespace) -> int:
 def _cmd_bijection(args: argparse.Namespace) -> int:
     alphabet = Alphabet(args.k)
     mapping = counting_bijection(alphabet, args.n)
-    for w in sorted(mapping):
-        print(alphabet.format(w), alphabet.format(mapping[w]))
+    for w, image in mapping.items():
+        print(alphabet.format(w), alphabet.format(image))
     return 0
 
 

@@ -5,9 +5,9 @@ just as it has exactly one Lyndon word (lyndon.lyndon_conjugate), so
 rotating gives a length-preserving bijection between the two families.
 Two routes to the Nyldon rotation are provided: Melancon's procedure
 (the fast path), which runs the right Lazard elimination on the
-circular word and never runs a membership test, and testing every
-rotation (the reference that the tests and `nyldon conjugate --verify`
-check it against).
+circular word with list blocks extended in place, so a run costs its
+letters once and no membership test runs, and testing every rotation
+(the reference that the tests and `nyldon conjugate --verify` use).
 """
 
 from __future__ import annotations
@@ -34,26 +34,25 @@ def nyldon_conjugate_bruteforce(w: Word) -> Word:
 def melancon_nyldon_conjugate(w: Word) -> Word:
     """The Nyldon rotation of a primitive word, by Melancon's procedure.
 
-    Nyldon words form a right Lazard set; this is that elimination run
-    on the circular word.  The blocks, initially the letters of w, always
-    spell a rotation of w.  Each pass takes the smallest block h, starts
-    the circle at a block other than h (one exists, since w is
-    primitive), and absorbs every run of copies of h into the block on
-    its left.  A pass removes every copy of h and there is at least one,
-    so the block count falls each pass; the last block is the answer.
-    """
+    The blocks, initially the letters of w, always spell a rotation of
+    w.  Each pass takes the smallest block h and absorbs every copy of h
+    into the block on its left, extending that list in place, so a run
+    of m copies costs m*|h| letters.  h itself is never extended: only
+    blocks of other values are, and one exists since w is primitive.
+    Copies of h before the first other block, the lead run, belong to
+    the last block, their left neighbour on the circle.  A pass removes
+    every copy of h, so the block count falls; the last is the answer."""
     if not is_primitive(w):
         raise ValueError("only primitive words have a Nyldon conjugate")
-    blocks: list[Word] = [w[i:i + 1] for i in range(len(w))]
+    blocks = [[a] for a in w]
     while len(blocks) > 1:
         h = min(blocks)
-        start = next(i for i, b in enumerate(blocks) if b != h)
-        merged: list[Word] = []
-        for b in blocks[start:] + blocks[:start]:
+        lead, merged = [], []
+        for b in blocks:
             if b == h:
-                merged[-1] += b
+                (merged[-1] if merged else lead).extend(b)
             else:
                 merged.append(b)
+        merged[-1].extend(lead)
         blocks = merged
-    return blocks[0]
-
+    return tuple(blocks[0])

@@ -205,9 +205,9 @@ def counting_bijection(alphabet: Alphabet, n: int) -> dict[Word, Word]:
     nondecreasingly and concatenate.
     The image sequence is then the unique nondecreasing Nyldon
     factorization of the result, so the image has at least two factors
-    and is non-Nyldon.  Bijectivity is checked, not proved here.
-    More than BIJECTION_BUDGET words of length <= n raise ValueError
-    before any work starts.
+    and is non-Nyldon.  Bijectivity is checked, not proved here.  Keys
+    come in lexicographic order, as words_of_length makes them.  More
+    than BIJECTION_BUDGET words of length <= n raise ValueError up front.
     """
     if n < 2:
         raise ValueError("needs length >= 2")

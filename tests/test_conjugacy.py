@@ -37,12 +37,12 @@ def test_melancon_pins():
 
 
 def test_non_primitive_inputs_rejected():
-    with pytest.raises(ValueError):
+    only_primitive = "only primitive words have a Nyldon conjugate"
+    with pytest.raises(ValueError, match=only_primitive):
         nyldon_conjugate_bruteforce(w("0101"))
-    with pytest.raises(ValueError):
-        melancon_nyldon_conjugate(w("0101"))
-    with pytest.raises(ValueError):
-        melancon_nyldon_conjugate(())
+    for v in (w("0101"), w("000"), ()):
+        with pytest.raises(ValueError, match=only_primitive):
+            melancon_nyldon_conjugate(v)
 
 
 def test_methods_agree_on_primitive_words():
@@ -69,10 +69,37 @@ def test_long_melancon_conjugate_is_a_nyldon_rotation(v):
     assert_is_the_nyldon_rotation(v, melancon_nyldon_conjugate(v))
 
 
+def staircase(n):
+    # 1 1 0 1 0 0 1 0 0 0 ..., the blocks 1·0^j for j = 0, 1, 2, ...
+    letters, j = [], 0
+    while len(letters) < n:
+        letters += [1] + [0] * j
+        j += 1
+    return tuple(letters[:n])
+
+
+def fibonacci(n):
+    # the fixed point of 0 -> 01, 1 -> 0
+    shorter, longer = (0,), (0, 1)
+    while len(longer) < n:
+        shorter, longer = longer, longer + shorter
+    return longer[:n]
+
+
 def test_melancon_on_the_adversarial_families():
     n = 4096
-    for v in ((1,) + (0,) * (n - 1), (0,) * (n - 1) + (1,), (1, 0) * (n // 2 - 2) + (1, 0, 0)):
-        assert_is_the_nyldon_rotation(v, melancon_nyldon_conjugate(v))
+    families = [(1,) + (0,) * (n - 1), (0,) * (n - 1) + (1,), (1, 0) * (n // 2 - 2) + (1, 0, 0)]
+    for v in (staircase(n), fibonacci(n)):
+        families += [v, tuple(1 - a for a in v)]
+    for v in families:
+        c = melancon_nyldon_conjugate(v)
+        assert type(c) is tuple
+        assert_is_the_nyldon_rotation(v, c)
+    # one long run, which costs its letters once since blocks are extended
+    # in place; the answer is pinned, as is_nyldon is quadratic on it
+    nyldon = (1,) + (0,) * (2 ** 15 - 1)
+    for v in (nyldon, nyldon[::-1]):
+        assert melancon_nyldon_conjugate(v) == nyldon
 
 
 def test_exactly_one_nyldon_rotation_per_class(binary_nyldon_upto_12):

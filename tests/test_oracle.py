@@ -104,6 +104,7 @@ def test_bijection_pins():
 def test_bijection_properties():
     for n in (5, 6):
         m = counting_bijection(A2, n)
+        assert list(m) == sorted(m)  # `nyldon bijection` prints in this order
         assert len(set(m.values())) == len(m)  # injective
         assert set(m) == {
             v for v in A2.words_of_length(n) if not is_lyndon(v)
