@@ -1,15 +1,17 @@
 """Command-line interface.
 
 Every subcommand prints deterministic text, one record per line, so
-outputs can be captured as golden files.  Exit status: 0 on success,
-1 on domain errors (empty or malformed words, out-of-range parameters,
-verification mismatches), 2 on usage errors (argparse's convention).
+outputs can be captured as golden files.  `main` alone sets the exit
+status: 0 on success, 1 on domain errors (empty or malformed words,
+out-of-range parameters, verification mismatches), 2 on usage errors
+(argparse's convention).  Handlers return nothing and report a domain
+error or a failed verification by raising ValueError; `main` prints it
+as one `error:` line.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .codes import is_circular_bounded, is_comma_free_uniform, nyldon_code
@@ -21,24 +23,21 @@ from .oracle import count_by_length, counting_bijection, necklace_count
 from .words import Alphabet, Word, _read_letters, format_factorization, reverse_permutation
 
 
-def _parse_word(text: str) -> Word:
-    """Word from CLI text: a comma list if the text has a comma, else
-    one digit per letter.  The alphabet is implied by the letters."""
+def _parse_word(text: str) -> tuple[Word, Alphabet]:
+    """Word from CLI text, with the alphabet its letters imply: a comma
+    list if the text has a comma, else one digit per letter."""
     if text == "":
         raise ValueError("empty word")
-    return _read_letters(text.split(",") if "," in text else list(text), text)
+    w = _read_letters(text.split(",") if "," in text else list(text), text)
+    return w, Alphabet(max(2, max(w) + 1))
 
 
-def _alphabet_for(w: Word) -> Alphabet:
-    return Alphabet(max(2, max(w) + 1))
-
-
-def _cmd_factorize(args: argparse.Namespace) -> int:
-    w = _parse_word(args.word)
+def _cmd_factorize(args: argparse.Namespace) -> None:
+    w, alphabet = _parse_word(args.word)
     factorize = nyldon_factorize if args.family == "nyldon" else lyndon_factorize
     factors = factorize(w)
-    alphabet = _alphabet_for(w)
     if args.json:
+        import json  # only --json needs it; one-word queries skip the import
         print(json.dumps({
             "word": alphabet.format(w),
             "factors": [alphabet.format(f) for f in factors],
@@ -46,39 +45,33 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
         }))
     else:
         print(format_factorization(alphabet, factors))
-    return 0
 
 
-def _cmd_test(args: argparse.Namespace) -> int:
-    w = _parse_word(args.word)
+def _cmd_test(args: argparse.Namespace) -> None:
+    w, _ = _parse_word(args.word)
     member = is_nyldon(w) if args.family == "nyldon" else is_lyndon(w)
     print("true" if member else "false")
-    return 0
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> None:
     alphabet = Alphabet(args.k)
     enum = enumerate_nyldon if args.family == "nyldon" else enumerate_lyndon
     words = enum(alphabet, args.max_len)
     print(" ".join(alphabet.format(w) for w in words))
-    return 0
 
 
-def _cmd_conjugate(args: argparse.Namespace) -> int:
-    w = _parse_word(args.word)
-    alphabet = _alphabet_for(w)
+def _cmd_conjugate(args: argparse.Namespace) -> None:
+    w, alphabet = _parse_word(args.word)
     result = melancon_nyldon_conjugate(w)
     if args.verify:
         reference = nyldon_conjugate_bruteforce(w)
         if reference != result:
-            print(f"error: methods disagree on {args.word}: melancon {alphabet.format(result)},"
-                  f" brute force {alphabet.format(reference)}", file=sys.stderr)
-            return 1
+            raise ValueError(f"methods disagree on {args.word}: melancon {alphabet.format(result)},"
+                             f" brute force {alphabet.format(reference)}")
     print(alphabet.format(result))
-    return 0
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: argparse.Namespace) -> None:
     alphabet = Alphabet(args.k)
     counts = count_by_length(args.family, alphabet, args.n)
     for n, c in enumerate(counts, 1):
@@ -86,15 +79,12 @@ def _cmd_count(args: argparse.Namespace) -> int:
             expected = necklace_count(args.k, n)
             print(n, c, expected)
             if c != expected:
-                print(f"error: count {c} differs from formula value {expected} at length {n}",
-                      file=sys.stderr)
-                return 1
+                raise ValueError(f"count {c} differs from formula value {expected} at length {n}")
         else:
             print(n, c)
-    return 0
 
 
-def _cmd_lazard(args: argparse.Namespace) -> int:
+def _cmd_lazard(args: argparse.Namespace) -> None:
     alphabet = Alphabet(args.k)
     trace = lazard_run(args.side, args.select, alphabet, args.n)
     # the run under the letter-reversed order is the plain run relabeled letter
@@ -107,10 +97,9 @@ def _cmd_lazard(args: argparse.Namespace) -> int:
             print(f"{i} | {snapshot} | {alphabet.format(relabel(step.chosen))}")
     else:
         print(" ".join(alphabet.format(relabel(w)) for w in trace.eliminated))
-    return 0
 
 
-def _cmd_codes(args: argparse.Namespace) -> int:
+def _cmd_codes(args: argparse.Namespace) -> None:
     alphabet = Alphabet(args.k)
     code = nyldon_code(alphabet, args.n)
     if args.check == "comma-free":
@@ -131,26 +120,22 @@ def _cmd_codes(args: argparse.Namespace) -> int:
         if not verdict.holds:
             u, v = verdict.witness
             print(f"witness: u={alphabet.format(u)} v={alphabet.format(v)}")
-    return 0
 
 
-def _cmd_bijection(args: argparse.Namespace) -> int:
+def _cmd_bijection(args: argparse.Namespace) -> None:
     alphabet = Alphabet(args.k)
     mapping = counting_bijection(alphabet, args.n)
     for w, image in mapping.items():
         print(alphabet.format(w), alphabet.format(image))
-    return 0
 
 
-def _cmd_powers(args: argparse.Namespace) -> int:
-    w = _parse_word(args.word)
+def _cmd_powers(args: argparse.Namespace) -> None:
+    w, alphabet = _parse_word(args.word)
     if args.max_exp < 1:
         raise ValueError("--max-exp must be at least 1")
-    alphabet = _alphabet_for(w)
     factorize = nyldon_factorize if args.family == "nyldon" else lyndon_factorize
     for e in range(1, args.max_exp + 1):
         print(e, format_factorization(alphabet, factorize(w * e)))
-    return 0
 
 
 def _add_family(parser: argparse.ArgumentParser) -> None:
@@ -234,13 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -87,6 +87,16 @@ def test_count_with_formula_column(capsys):
     assert (code, out) == (0, "1 2 2\n2 1 1\n3 2 2\n")
 
 
+def test_count_check_formula_reports_a_mismatch(capsys, monkeypatch):
+    # a formula that is wrong at length 3 only: the rows up to that length
+    # are printed, then the command stops with one error line
+    from nyldon.oracle import necklace_count
+    monkeypatch.setattr("nyldon.cli.necklace_count", lambda k, n: necklace_count(k, n) + (n == 3))
+    code, out, err = run(capsys, "count", "-k", "2", "-n", "5", "--check-formula")
+    assert (code, out) == (1, "1 2 2\n2 1 1\n3 2 3\n")
+    assert err == "error: count 2 differs from formula value 3 at length 3\n"
+
+
 def test_lazard_summary_line(capsys):
     code, out, err = run(
         capsys, "lazard", "--side", "right", "--select", "min", "-k", "2", "-n", "3"
@@ -246,6 +256,16 @@ def checkout_env():
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     return env
+
+
+def test_importing_the_cli_leaves_json_unloaded(tmp_path):
+    # only `factorize --json` needs json; a one-word query should not
+    # pay for importing it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, nyldon.cli; print('json' in sys.modules)"],
+        capture_output=True, text=True, env=checkout_env(), cwd=tmp_path, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_codes_circular_refuses_work_past_its_budget(tmp_path):

@@ -67,3 +67,23 @@ def test_sources_parse_as_python_3_10():
     assert sources, f"no sources under {SRC}"
     for path in sources:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_cli_handlers_leave_the_exit_status_to_main():
+    # main alone maps an outcome to an exit status: a handler returns
+    # nothing and reports a failure by raising ValueError, never by
+    # returning a code or writing its own error line
+    path = SRC / "cli.py"
+    handlers = [
+        node for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
+    ]
+    assert handlers, "no _cmd_* handlers in cli.py"
+    found = [
+        f"{handler.name}:{node.lineno}"
+        for handler in handlers
+        for node in ast.walk(handler)
+        if (isinstance(node, ast.Return) and node.value is not None)
+        or (isinstance(node, ast.Attribute) and node.attr == "stderr")
+    ]
+    assert found == [], f"cli handlers that return a value or write to stderr: {', '.join(found)}"
