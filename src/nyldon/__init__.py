@@ -11,7 +11,6 @@ from .words import (
 )
 from .lyndon import enumerate_lyndon, is_lyndon, lyndon_conjugate, lyndon_factorize
 from .factorization import (
-    StandardFactorization,
     enumerate_nyldon,
     forbidden_prefix_family,
     is_nyldon,

@@ -13,17 +13,18 @@ letters once and no membership test runs, and testing every rotation
 from __future__ import annotations
 
 from .factorization import is_nyldon
-from .words import Word, is_primitive, rotations
+from .words import Word, is_primitive
 
 
 def nyldon_conjugate_bruteforce(w: Word) -> Word:
     """The Nyldon rotation of a primitive word, found by testing every
-    rotation.  Exactly one qualifies; finding any other number is a bug
-    in the package, not a property of the input, and raises
-    AssertionError rather than ValueError."""
+    rotation, built one at a time so memory stays linear.  Exactly one
+    qualifies; finding any other number is a bug in the package, not a
+    property of the input, and raises AssertionError rather than
+    ValueError."""
     if not is_primitive(w):
         raise ValueError("only primitive words have a Nyldon conjugate")
-    hits = [r for r in rotations(w) if is_nyldon(r)]
+    hits = [r for r in (w[i:] + w[:i] for i in range(len(w))) if is_nyldon(r)]
     if len(hits) != 1:
         raise AssertionError(
             f"{len(hits)} Nyldon rotations of {w!r}; expected exactly one"

@@ -17,7 +17,6 @@ The binary Nyldon words up to length 5:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import NamedTuple
 
 from .words import Alphabet, Word, _check_enumeration_budget
 
@@ -117,12 +116,7 @@ def longest_nyldon_suffix(w: Word, proper: bool = False) -> Word:
     return nyldon_factorize(w)[-1]
 
 
-class StandardFactorization(NamedTuple):
-    left: Word
-    right: Word
-
-
-def standard_factorization(w: Word) -> StandardFactorization:
+def standard_factorization(w: Word) -> tuple[Word, Word]:
     """Split a Nyldon word of length >= 2 as left + right, where right is
     the longest proper Nyldon suffix.
 
@@ -131,14 +125,14 @@ def standard_factorization(w: Word) -> StandardFactorization:
     one.
 
     >>> standard_factorization((1, 0, 0))
-    StandardFactorization(left=(1, 0), right=(0,))
+    ((1, 0), (0,))
     """
     if len(w) < 2:
         raise ValueError("standard factorization needs length >= 2")
     if not is_nyldon(w):
         raise ValueError("not a Nyldon word")
     right = longest_nyldon_suffix(w, proper=True)
-    return StandardFactorization(w[: len(w) - len(right)], right)
+    return w[: len(w) - len(right)], right
 
 
 def forbidden_prefix_family(k_param: int, family_index: int) -> Word:

@@ -34,25 +34,24 @@ def rotations(w: Word) -> list[Word]:
 def is_primitive(w: Word) -> bool:
     """True iff w is nonempty and not u**m for any shorter u and m >= 2.
 
-    One prefix-function pass gives the longest proper border of w, so
-    p = |w| - border is the least period of w.  A word is a proper
-    power exactly when that period is shorter than w and divides |w|.
-    Linear time.  The empty word counts as a power, hence not
-    primitive.
+    If w = u**m with m >= 2 and q is a prime dividing m, w is the q-th
+    power of u**(m/q), so it has period |w|/q; and a period p dividing
+    |w| makes w = w[:p]**(|w|/p).  So one slice comparison per distinct
+    prime factor q of |w|, found by trial division, decides it.  The
+    empty word counts as a power, hence not primitive.
     """
-    n = len(w)
+    n = m = len(w)
     if n == 0:
         return False
-    fail = [0] * n
-    k = 0
-    for i in range(1, n):
-        while k and w[i] != w[k]:
-            k = fail[k - 1]
-        if w[i] == w[k]:
-            k += 1
-        fail[i] = k
-    p = n - fail[-1]
-    return p == n or n % p != 0
+    q = 2
+    while q * q <= m:
+        if m % q == 0:
+            if w[n // q:] == w[:-(n // q)]:
+                return False
+            while m % q == 0:
+                m //= q
+        q += 1
+    return m == 1 or w[n // m:] != w[:-(n // m)]
 
 
 def apply_permutation(perm: Sequence[int], w: Word) -> Word:

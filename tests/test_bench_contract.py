@@ -6,11 +6,16 @@ only a traced benchmark run.  This runs the tracer's install and
 uninstall in a fresh interpreter, with this checkout's `src` and
 `bench` on the path.  The combinatorics workload checks each job's
 stdout against a sha256 in `bench/digests.json`; those digests are
-checked here too.  Nothing under `bench/` is changed.
+checked here too.  The library names that `bench/jobs.py` and
+`bench/tools.py` import, and the keywords they call them with, are
+checked against the package, and the job lists are built once.  Nothing
+under `bench/` is changed.
 """
 
+import ast
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -18,6 +23,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import nyldon
 from nyldon.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,13 +53,54 @@ for name, m in modules.items():
 """
 
 
-def test_tracer_wraps_every_layer_and_restores_it():
+def run_with_bench_on_path(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), str(ROOT / "bench"), env.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], capture_output=True, text=True, env=env, cwd=ROOT,
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=ROOT,
+    )
+
+
+def test_tracer_wraps_every_layer_and_restores_it():
+    proc = run_with_bench_on_path(SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("script", ["jobs.py", "tools.py"])
+def test_bench_library_calls_bind_to_their_signatures(script):
+    # a removed name or keyword (say longest_nyldon_suffix's proper flag)
+    # would break only a benchmark run or `tools.py roadmap-table`
+    tree = ast.parse((ROOT / "bench" / script).read_text())
+    names = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "nyldon"
+        for alias in node.names
+    }
+    assert names, f"bench/{script} imports nothing from nyldon"
+    assert sorted(n for n in names if not hasattr(nyldon, n)) == []
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names
+    ]
+    unbound = []
+    for call in calls:
+        positional = 0 if any(isinstance(a, ast.Starred) for a in call.args) else len(call.args)
+        keywords = {k.arg: None for k in call.keywords if k.arg is not None}
+        try:
+            inspect.signature(getattr(nyldon, call.func.id)).bind_partial(*[None] * positional, **keywords)
+        except TypeError as exc:
+            unbound.append(f"bench/{script}:{call.lineno} {call.func.id}: {exc}")
+    assert unbound == []
+
+
+def test_bench_job_lists_build():
+    proc = run_with_bench_on_path(
+        "import sys, jobs\n"
+        "if not (jobs.word_ladder(1) and jobs.cli(1)):\n"
+        "    sys.exit('an empty job list')\n"
     )
     assert proc.returncode == 0, proc.stderr
 

@@ -194,6 +194,12 @@ def test_codes_circular(capsys):
     )
 
 
+def test_codes_circular_bound_below_two_codewords_names_the_bound(capsys):
+    assert run(capsys, "codes", "circular", "-k", "2", "-n", "3", "--bound", "5") == (
+        1, "", "error: a bound of 5 letters is below two codewords of length 3\n",
+    )
+
+
 def test_bijection_rows(capsys):
     code, out, err = run(capsys, "bijection", "-k", "2", "-n", "2")
     assert (code, out) == (0, "00 11\n10 01\n11 00\n")

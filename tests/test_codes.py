@@ -209,8 +209,9 @@ def test_circular_search_matches_the_definition():
 
 
 def test_circular_bound_validation():
-    with pytest.raises(ValueError):
-        is_circular_bounded(code(2, 3), 3, 5)  # below two blocks
+    below_two_blocks = "a bound of 5 letters is below two codewords of length 3"
+    with pytest.raises(ValueError, match=below_two_blocks):
+        is_circular_bounded(code(2, 3), 3, 5)
 
 
 def test_uniformity_validation():

@@ -2,6 +2,9 @@
 by Melancon's elimination, and its round trip through the Lyndon
 rotation of the same class."""
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +53,29 @@ def test_methods_agree_on_primitive_words():
         for v in Alphabet(k).words_upto(n):
             if is_primitive(v):
                 assert melancon_nyldon_conjugate(v) == nyldon_conjugate_bruteforce(v)
+
+
+def test_bruteforce_builds_one_rotation_at_a_time(monkeypatch):
+    # all 1,024 rotations at once hold about 8.5 MB; one at a time, a few
+    # of 8 kB.  is_nyldon is replaced by a comparison with the known
+    # answer, so the peak is the rotation scan's own and the test does not
+    # pay the quadratic factorization of every rotation under tracemalloc
+    rng = random.Random(1024)
+    words = [(1,) + (0,) * 1023]
+    while len(words) < 2:
+        v = tuple(rng.randrange(2) for _ in range(1024))
+        if is_primitive(v):
+            words.append(v)
+    for v in words:
+        c = melancon_nyldon_conjugate(v)
+        monkeypatch.setattr("nyldon.conjugacy.is_nyldon", c.__eq__)
+        tracemalloc.start()
+        try:
+            assert nyldon_conjugate_bruteforce(v) == c
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6, peak
 
 
 def assert_is_the_nyldon_rotation(v, c):

@@ -5,6 +5,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nyldon import (
     Alphabet,
@@ -38,13 +40,48 @@ def test_primitivity_examples():
     assert not is_primitive(())
 
 
+def is_power(w):
+    n = len(w)
+    return any(n % d == 0 and w == w[:d] * (n // d) for d in range(1, n))
+
+
 def test_primitivity_matches_power_definition():
     for w in itertools.chain(A2.words_upto(10), A3.words_upto(7)):
-        n = len(w)
-        is_power = any(
-            n % d == 0 and w == w[:d] * (n // d) for d in range(1, n)
-        )
-        assert is_primitive(w) == (not is_power)
+        assert is_primitive(w) == (not is_power(w))
+
+
+@st.composite
+def powers(draw, lengths=None):
+    """u**m with u over 1 to 4 letters, and one letter changed in about
+    half of them.  Without lengths, |u| is 1..64 and m is drawn from
+    exponents with one, two and three distinct prime factors; with
+    lengths, |u| is a divisor of one of those exact lengths."""
+    k = draw(st.integers(1, 4))
+    if lengths is None:
+        size = draw(st.integers(1, 64))
+        m = draw(st.sampled_from((1, 2, 3, 4, 6, 8, 9, 12, 16, 27, 30, 35, 64)))
+    else:
+        n = draw(st.sampled_from(lengths))
+        size = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        m = n // size
+    rng = draw(st.randoms(use_true_random=False))
+    w = [rng.randrange(k) for _ in range(size)] * m
+    if draw(st.booleans()):
+        w[rng.randrange(len(w))] = rng.randrange(k)
+    return tuple(w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(powers())
+def test_primitivity_of_long_powers(w):
+    assert is_primitive(w) == (not is_power(w))
+
+
+# a prime, a prime power, and the product of the first six primes
+@settings(max_examples=60, deadline=None)
+@given(powers(lengths=(1009, 729, 30030)))
+def test_primitivity_at_lengths_with_few_and_many_prime_factors(w):
+    assert is_primitive(w) == (not is_power(w))
 
 
 def test_primitive_iff_unique_among_rotations():
