@@ -16,6 +16,12 @@ Relabeling letters through a permutation pi carries lexicographic order
 onto the order ranking pi(0) below pi(1) below pi(2) and so on, and it
 commutes with the rewriting, so the run selecting under that order is
 the plain run relabeled letter by letter (apply_permutation).
+
+lazard_run records every working set, so its cost is steps x working set
+and LAZARD_BUDGET bounds that product.  A caller that needs only the
+right/min run's eliminated words can take sorted(enumerate_nyldon(...)),
+whose cost follows the Nyldon words; the CLI's right/min summary line
+does.
 """
 
 from __future__ import annotations

@@ -13,6 +13,9 @@ try:
 except ModuleNotFoundError:  # Python 3.10: pytest itself depends on tomli
     import tomli as tomllib
 
+from nyldon import (
+    Alphabet, apply_permutation, count_by_length, lazard_run, reverse_permutation,
+)
 from nyldon.cli import main
 
 
@@ -164,6 +167,48 @@ def test_lazard_reversed_trace_sorts_each_working_set(capsys):
         assert working_set == sorted(working_set)
 
 
+def test_lazard_right_min_summary_line_makes_no_eager_run(capsys, monkeypatch):
+    # the summary line comes from enumerate_nyldon; --trace and the
+    # other selectors still need lazard_run
+    expected = {}
+    for k, top in ((2, 8), (3, 5)):
+        perm = reverse_permutation(k)
+        for n in range(1, top + 1):
+            eliminated = lazard_run("right", "min", Alphabet(k), n).eliminated
+            expected[k, n] = " ".join(
+                "".join(map(str, apply_permutation(perm, v))) for v in eliminated
+            ) + "\n"
+
+    def refuse(*args):
+        raise AssertionError("lazard_run called for the right/min summary line")
+
+    monkeypatch.setattr("nyldon.cli.lazard_run", refuse)
+    right_min = ["lazard", "--side", "right", "--select", "min", "-k"]
+    for (k, n), out in expected.items():
+        assert run(capsys, *right_min, str(k), "-n", str(n), "--perm", "reverse") == (
+            0, out, ""), (k, n)
+    assert run(capsys, *right_min, "2", "-n", "3") == (0, "0 1 10 100 101\n", "")
+    for k in ("1", "2"):
+        for n in ("0", "-1"):
+            for perm in ([], ["--perm", "reverse"]):
+                code, out, err = run(capsys, *right_min, k, "-n", n, *perm)
+                assert (code, out) == (1, ""), (k, n, perm)
+                assert err.startswith("error:"), (k, n, perm)
+
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return lazard_run(*args)
+
+    monkeypatch.setattr("nyldon.cli.lazard_run", spy)
+    code, out, err = run(capsys, *right_min, "2", "-n", "2", "--trace")
+    assert (code, out) == (0, "1 | 0 1 | 0\n2 | 1 10 | 1\n3 | 10 | 10\n")
+    assert run(capsys, "lazard", "--side", "left", "--select", "min", "-k", "2", "-n", "2") == (
+        0, "0 01 1\n", "")
+    assert calls == [("right", "min", Alphabet(2), 2), ("left", "min", Alphabet(2), 2)]
+
+
 def test_codes_comma_free_yes(capsys):
     code, out, err = run(capsys, "codes", "comma-free", "-k", "2", "-n", "4")
     assert (code, out) == (0, "comma-free: yes\n")
@@ -293,6 +338,8 @@ def test_codes_circular_refuses_work_past_its_budget(tmp_path):
     (["count", "-k", "1", "-n", "1000000000"], ("k=1", "n=1000000000", "300000 words")),
     (["bijection", "-k", "2", "-n", "40"], ("k=2", "n=40", "131072 words")),
     (["lazard", "--side", "right", "--select", "min", "-k", "2", "-n", "30"],
+     ("k=2", "n=30", "300000 words")),
+    (["lazard", "--side", "right", "--select", "max", "-k", "2", "-n", "30"],
      ("k=2", "n=30", "6500000 snapshot words")),
 ])
 def test_size_commands_refuse_work_past_their_budgets(tmp_path, argv, names):
@@ -305,6 +352,18 @@ def test_size_commands_refuse_work_past_their_budgets(tmp_path, argv, names):
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("error:")
     assert all(name in proc.stderr for name in names), proc.stderr
+
+
+def test_lazard_right_min_summary_runs_past_the_snapshot_budget(tmp_path):
+    # binary n=13 is past lazard_run's budget, but the summary line
+    # only enumerates the 1377 Nyldon words
+    proc = subprocess.run(
+        [sys.executable, "-m", "nyldon.cli", "lazard", "--side", "right", "--select", "min",
+         "-k", "2", "-n", "13"],
+        capture_output=True, text=True, env=checkout_env(), cwd=tmp_path, timeout=10,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.split()) == sum(count_by_length("nyldon", Alphabet(2), 13))
 
 
 def test_console_script_is_installed(tmp_path):

@@ -5,6 +5,9 @@ A run under the order that ranks perm[0] below perm[1] below ... is the
 plain run relabeled letter by letter, so those runs are built here with
 relabeled() and checked against the permuted order directly."""
 
+import bisect
+import heapq
+
 import pytest
 
 from nyldon import (
@@ -79,12 +82,56 @@ def test_quadrant_identities():
     for k, n in ((2, 6), (3, 4)):
         a = Alphabet(k)
         lyndon = sorted(enumerate_lyndon(a, n))
-        nyldon = sorted(enumerate_nyldon(a, n))
         assert lazard_run("left", "min", a, n).eliminated == tuple(lyndon)
         assert lazard_run("right", "max", a, n).eliminated == tuple(
             reversed(lyndon)
         )
-        assert lazard_run("right", "min", a, n).eliminated == tuple(nyldon)
+    # the `lazard --side right --select min` summary line prints
+    # sorted(enumerate_nyldon(...)) on this identity, so it is checked at
+    # every size LAZARD_BUDGET accepts for k <= 4
+    for k, top in ((1, 8), (2, 12), (3, 7), (4, 5)):
+        a = Alphabet(k)
+        for n in range(1, top + 1):
+            eliminated = lazard_run("right", "min", a, n).eliminated
+            assert eliminated == tuple(sorted(enumerate_nyldon(a, n))), (k, n)
+
+
+def lazy_right_min_run(alphabet, max_len):
+    """The right/min run's eliminated words, with each working-set word
+    made only when its parent is eliminated.
+
+    A word y born at step b stays in the working set until it is chosen
+    at step t, and each step s in between gives it the children
+    y u_s^j.  They extend y, so they are greater than y, and the minimum
+    of the working set is never a word whose parent is still there: a
+    heap that receives y's children only when y is popped pops the same
+    words in the same order.  The chosen words' steps are kept by length,
+    so the steps s > b are found by bisection.
+    """
+    heap = [((a,), 0) for a in alphabet.letters()]
+    steps_by_len = [[] for _ in range(max_len + 1)]
+    eliminated = []
+    while heap:
+        y, birth = heapq.heappop(heap)
+        for length in range(1, max_len - len(y) + 1):
+            steps = steps_by_len[length]
+            for s in steps[bisect.bisect_right(steps, birth):]:
+                u = eliminated[s - 1]
+                child = y + u
+                while len(child) <= max_len:
+                    heapq.heappush(heap, (child, s))
+                    child += u
+        eliminated.append(y)
+        steps_by_len[len(y)].append(len(eliminated))
+    return tuple(eliminated)
+
+
+def test_lazy_right_min_run_lists_the_nyldon_words_past_the_lazard_budget():
+    # a third construction of the Nyldon words, from the paper's right
+    # Lazard property, against the Hall-set generator where lazard_run
+    # is refused
+    for a, n in ((A2, 18), (A3, 11)):
+        assert lazy_right_min_run(a, n) == tuple(sorted(enumerate_nyldon(a, n))), n
 
 
 def test_left_max_eliminates_letter_reversed_lyndon_words():
