@@ -86,21 +86,22 @@ def _cmd_count(args: argparse.Namespace) -> None:
 
 def _cmd_lazard(args: argparse.Namespace) -> None:
     alphabet = Alphabet(args.k)
+    side, select, reverse = args.side, args.select, args.perm == "reverse"
+    if (side, select) == ("left", "max"):
+        # left working sets are prefix-free, so left/max is left/min relabeled
+        select, reverse = "min", not reverse
     # the run under the letter-reversed order is the plain run relabeled letter
     # by letter; its letters are in range, so apply_permutation's checks are skipped
-    perm = reverse_permutation(args.k) if args.perm == "reverse" else None
+    perm = reverse_permutation(args.k) if reverse else None
     relabel = (lambda w: w) if perm is None else (lambda w: tuple(map(perm.__getitem__, w)))
     if args.trace:
-        for i, step in enumerate(lazard_run(args.side, args.select, alphabet, args.n).steps, 1):
+        for i, step in enumerate(lazard_run(side, select, alphabet, args.n).steps, 1):
             snapshot = " ".join(alphabet.format(w) for w in sorted(map(relabel, step.snapshot)))
             print(f"{i} | {snapshot} | {alphabet.format(relabel(step.chosen))}")
         return
-    if (args.side, args.select) == ("right", "min"):
-        # the right/min run eliminates the Nyldon words in increasing order,
-        # so the summary line needs no working sets
-        eliminated = sorted(enumerate_nyldon(alphabet, args.n))
-    else:
-        eliminated = lazard_run(args.side, args.select, alphabet, args.n).eliminated
+    # each run drains a family in order (the table in nyldon.lazard's docstring)
+    enum = enumerate_nyldon if (side, select) == ("right", "min") else enumerate_lyndon
+    eliminated = sorted(enum(alphabet, args.n), reverse=select == "max")
     print(" ".join(alphabet.format(relabel(w)) for w in eliminated))
 
 

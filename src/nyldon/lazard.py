@@ -8,20 +8,19 @@ part is ever inspected).  The four extremal selectors sweep out
 classical families of the bounded universe:
 
     left  / min   the Lyndon words, in increasing order
-    left  / max   the letter-reversed image of the Lyndon words
+    left  / max   the left/min run, relabeled by letter reversal
     right / min   the Nyldon words, in increasing order
     right / max   the Lyndon words, in decreasing order
 
 Relabeling letters through a permutation pi carries lexicographic order
 onto the order ranking pi(0) below pi(1) below pi(2) and so on, and it
 commutes with the rewriting, so the run selecting under that order is
-the plain run relabeled letter by letter (apply_permutation).
+the plain run relabeled letter by letter (apply_permutation).  Left
+working sets are prefix-free, and on a prefix-free set the maximum is
+the minimum under the letter-reversed order: hence the left/max row.
 
-lazard_run records every working set, so its cost is steps x working set
-and LAZARD_BUDGET bounds that product.  A caller that needs only the
-right/min run's eliminated words can take sorted(enumerate_nyldon(...)),
-whose cost follows the Nyldon words; the CLI's right/min summary line
-does.
+Summary lines come from the generators; lazard_run serves traces, and
+LAZARD_BUDGET bounds their cost, steps x recorded working set.
 """
 
 from __future__ import annotations

@@ -167,33 +167,45 @@ def test_lazard_reversed_trace_sorts_each_working_set(capsys):
         assert working_set == sorted(working_set)
 
 
-def test_lazard_right_min_summary_line_makes_no_eager_run(capsys, monkeypatch):
-    # the summary line comes from enumerate_nyldon; --trace and the
-    # other selectors still need lazard_run
-    expected = {}
-    for k, top in ((2, 8), (3, 5)):
-        perm = reverse_permutation(k)
-        for n in range(1, top + 1):
-            eliminated = lazard_run("right", "min", Alphabet(k), n).eliminated
-            expected[k, n] = " ".join(
-                "".join(map(str, apply_permutation(perm, v))) for v in eliminated
-            ) + "\n"
+def lazard_lines(side, select, k, n, perm, trace):
+    """What `lazard` prints, built from lazard_run's own run."""
+    reverse = reverse_permutation(k)
+
+    def fmt(v):
+        return "".join(map(str, apply_permutation(reverse, v) if perm else v))
+
+    steps = lazard_run(side, select, Alphabet(k), n).steps
+    if not trace:
+        return " ".join(fmt(step.chosen) for step in steps) + "\n"
+    return "".join(f"{i} | {' '.join(sorted(map(fmt, step.snapshot)))} | {fmt(step.chosen)}\n"
+                   for i, step in enumerate(steps, 1))
+
+
+def test_lazard_summary_lines_make_no_eager_run(capsys, monkeypatch):
+    # summary lines come from enumerate_nyldon and enumerate_lyndon;
+    # only --trace needs lazard_run
+    selectors = [(side, select) for side in ("left", "right") for select in ("min", "max")]
+    perms = ((), ("--perm", "reverse"))
+    sizes = [(k, n) for k, top in ((2, 8), (3, 5)) for n in range(1, top + 1)]
+    summaries = {(side, select, k, n, perm): lazard_lines(side, select, k, n, perm, False)
+                 for side, select in selectors for k, n in sizes for perm in perms}
+    left_max_traces = {(k, n, perm): lazard_lines("left", "max", k, n, perm, True)
+                       for k, n in sizes for perm in perms}
 
     def refuse(*args):
-        raise AssertionError("lazard_run called for the right/min summary line")
+        raise AssertionError("lazard_run called for a summary line")
 
     monkeypatch.setattr("nyldon.cli.lazard_run", refuse)
-    right_min = ["lazard", "--side", "right", "--select", "min", "-k"]
-    for (k, n), out in expected.items():
-        assert run(capsys, *right_min, str(k), "-n", str(n), "--perm", "reverse") == (
-            0, out, ""), (k, n)
-    assert run(capsys, *right_min, "2", "-n", "3") == (0, "0 1 10 100 101\n", "")
-    for k in ("1", "2"):
-        for n in ("0", "-1"):
-            for perm in ([], ["--perm", "reverse"]):
-                code, out, err = run(capsys, *right_min, k, "-n", n, *perm)
-                assert (code, out) == (1, ""), (k, n, perm)
-                assert err.startswith("error:"), (k, n, perm)
+    for (side, select, k, n, perm), out in summaries.items():
+        argv = ("lazard", "--side", side, "--select", select, "-k", str(k), "-n", str(n), *perm)
+        assert run(capsys, *argv) == (0, out, ""), argv
+    for side, select in selectors:
+        for k in ("1", "2"):
+            for n in ("0", "-1"):
+                for perm in perms:
+                    argv = ("lazard", "--side", side, "--select", select, "-k", k, "-n", n, *perm)
+                    assert run(capsys, *argv) == (
+                        1, "", "error: max_len must be at least 1\n"), argv
 
     calls = []
 
@@ -202,11 +214,18 @@ def test_lazard_right_min_summary_line_makes_no_eager_run(capsys, monkeypatch):
         return lazard_run(*args)
 
     monkeypatch.setattr("nyldon.cli.lazard_run", spy)
+    right_min = ["lazard", "--side", "right", "--select", "min", "-k"]
     code, out, err = run(capsys, *right_min, "2", "-n", "2", "--trace")
     assert (code, out) == (0, "1 | 0 1 | 0\n2 | 1 10 | 1\n3 | 10 | 10\n")
-    assert run(capsys, "lazard", "--side", "left", "--select", "min", "-k", "2", "-n", "2") == (
-        0, "0 01 1\n", "")
-    assert calls == [("right", "min", Alphabet(2), 2), ("left", "min", Alphabet(2), 2)]
+    assert run(capsys, *right_min, "2", "-n", "3") == (0, "0 1 10 100 101\n", "")
+    assert calls == [("right", "min", Alphabet(2), 2)]
+    # the left/max trace is printed from the relabeled left/min run
+    calls.clear()
+    for (k, n, perm), out in left_max_traces.items():
+        argv = ("lazard", "--side", "left", "--select", "max", "-k", str(k), "-n", str(n),
+                *perm, "--trace")
+        assert run(capsys, *argv) == (0, out, ""), argv
+    assert {args[:2] for args in calls} == {("left", "min")}
 
 
 def test_codes_comma_free_yes(capsys):
@@ -340,6 +359,8 @@ def test_codes_circular_refuses_work_past_its_budget(tmp_path):
     (["lazard", "--side", "right", "--select", "min", "-k", "2", "-n", "30"],
      ("k=2", "n=30", "300000 words")),
     (["lazard", "--side", "right", "--select", "max", "-k", "2", "-n", "30"],
+     ("k=2", "n=30", "300000 words")),
+    (["lazard", "--side", "right", "--select", "max", "-k", "2", "-n", "30", "--trace"],
      ("k=2", "n=30", "6500000 snapshot words")),
 ])
 def test_size_commands_refuse_work_past_their_budgets(tmp_path, argv, names):
@@ -354,16 +375,20 @@ def test_size_commands_refuse_work_past_their_budgets(tmp_path, argv, names):
     assert all(name in proc.stderr for name in names), proc.stderr
 
 
-def test_lazard_right_min_summary_runs_past_the_snapshot_budget(tmp_path):
+@pytest.mark.parametrize("side, select, family", [
+    ("right", "min", "nyldon"),
+    ("left", "max", "lyndon"),
+])
+def test_lazard_summary_lines_run_past_the_snapshot_budget(tmp_path, side, select, family):
     # binary n=13 is past lazard_run's budget, but the summary line
-    # only enumerates the 1377 Nyldon words
+    # only enumerates the 1377 Nyldon or Lyndon words
     proc = subprocess.run(
-        [sys.executable, "-m", "nyldon.cli", "lazard", "--side", "right", "--select", "min",
+        [sys.executable, "-m", "nyldon.cli", "lazard", "--side", side, "--select", select,
          "-k", "2", "-n", "13"],
         capture_output=True, text=True, env=checkout_env(), cwd=tmp_path, timeout=10,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert len(proc.stdout.split()) == sum(count_by_length("nyldon", Alphabet(2), 13))
+    assert len(proc.stdout.split()) == sum(count_by_length(family, Alphabet(2), 13))
 
 
 def test_console_script_is_installed(tmp_path):

@@ -78,22 +78,26 @@ def test_right_max_reversed_trace_is_pinned():
 
 def test_quadrant_identities():
     # left/min and right/max drain the Lyndon words (ascending and
-    # descending); right/min drains the Nyldon words ascending
-    for k, n in ((2, 6), (3, 4)):
+    # descending), left/min relabeled by letter reversal is left/max, and
+    # right/min drains the Nyldon words ascending.  The `lazard` summary
+    # lines print these identities, so each is checked at every size
+    # LAZARD_BUDGET accepts for k <= 4, up to a top one below its refusal
+    for k, top in ((1, 234), (2, 12), (3, 7), (4, 6)):
         a = Alphabet(k)
-        lyndon = sorted(enumerate_lyndon(a, n))
-        assert lazard_run("left", "min", a, n).eliminated == tuple(lyndon)
-        assert lazard_run("right", "max", a, n).eliminated == tuple(
-            reversed(lyndon)
-        )
-    # the `lazard --side right --select min` summary line prints
-    # sorted(enumerate_nyldon(...)) on this identity, so it is checked at
-    # every size LAZARD_BUDGET accepts for k <= 4
-    for k, top in ((1, 8), (2, 12), (3, 7), (4, 5)):
-        a = Alphabet(k)
+        perm = reverse_permutation(k)
         for n in range(1, top + 1):
-            eliminated = lazard_run("right", "min", a, n).eliminated
-            assert eliminated == tuple(sorted(enumerate_nyldon(a, n))), (k, n)
+            lyndon = sorted(enumerate_lyndon(a, n))
+            expected = {
+                ("left", "min"): tuple(lyndon),
+                ("left", "max"): tuple(apply_permutation(perm, v) for v in lyndon),
+                ("right", "min"): tuple(sorted(enumerate_nyldon(a, n))),
+                ("right", "max"): tuple(reversed(lyndon)),
+            }
+            for (side, select), eliminated in expected.items():
+                assert lazard_run(side, select, a, n).eliminated == eliminated, (side, select, k, n)
+        for side, select in expected:
+            with pytest.raises(ValueError, match="snapshot words"):
+                lazard_run(side, select, a, top + 1)
 
 
 def lazy_right_min_run(alphabet, max_len):
