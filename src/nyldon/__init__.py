@@ -7,7 +7,6 @@ from .words import (
     format_factorization,
     is_primitive,
     reverse_permutation,
-    rotations,
 )
 from .lyndon import enumerate_lyndon, is_lyndon, lyndon_conjugate, lyndon_factorize
 from .factorization import (
@@ -47,4 +46,5 @@ from .oracle import (
     necklace_count,
     recursive_is_lyndon,
     recursive_is_nyldon,
+    rotations,
 )

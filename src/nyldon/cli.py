@@ -6,12 +6,13 @@ status: 0 on success, 1 on domain errors (empty or malformed words,
 out-of-range parameters, verification mismatches), 2 on usage errors
 (argparse's convention).  Handlers return nothing and report a domain
 error or a failed verification by raising ValueError; `main` prints it
-as one `error:` line.
+as one `error:` line.  A stdout closed early also exits 1, quietly.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .codes import is_circular_bounded, is_comma_free_uniform, nyldon_code
@@ -230,6 +231,9 @@ def main(argv: list[str] | None = None) -> int:
         args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # point stdout at devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return 0
 

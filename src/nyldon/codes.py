@@ -100,8 +100,8 @@ def is_circular_bounded(code: Iterable[Word], n: int, max_total: int | None = No
     words = _uniform(code, n)
     if max_total is None:
         max_total = 4 * n
-    if max_total < 2 * n:
-        raise ValueError(f"a bound of {max_total} letters is below two codewords of length {n}")
+    if max_total < n:
+        raise ValueError(f"a bound of {max_total} letters is below one codeword of length {n}")
     ordered = sorted(words)
     lengths = range(1, min(max_total // n, len(ordered)) + 1)
     _refuse_past(CIRCULAR_MESSAGE_BUDGET, accumulate(len(ordered) ** b for b in lengths),

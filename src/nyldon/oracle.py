@@ -6,8 +6,9 @@ from the recursive definitions, factorizations by exhaustive search
 over split points, the two enumerations by filtering all k**n words,
 the classical aperiodic necklace formula for the per-length counts, the
 rank-matching bijection between non-Lyndon and non-Nyldon words of a
-fixed length, forbidden prefixes by trying every extension, and
-comma-freeness by cutting every short message.  Tests pit the two sides
+fixed length, forbidden prefixes by trying every extension,
+comma-freeness by cutting every short message, and conjugacy classes
+by listing every rotation.  Tests pit the two sides
 against each other.  The CLI also uses three functions from here:
 count_by_length for `count` (the sizes of the generators' length
 groups), necklace_count for `count --check-formula`, and
@@ -31,6 +32,16 @@ from .words import Alphabet, Word, _refuse_past
 BIJECTION_BUDGET = 2 ** 17
 
 T = TypeVar("T")
+
+
+def rotations(w: Word) -> list[Word]:
+    """The |w| rotations w[i:] + w[:i] for i = 0..|w|-1, in that order.
+
+    Duplicates are retained, so a non-primitive word repeats entries.
+    """
+    if not w:
+        raise ValueError("the empty word has no rotations")
+    return [w[i:] + w[:i] for i in range(len(w))]
 
 
 def _has_monotone_split(w: Word, member: Callable[[Word], bool], nondecreasing: bool) -> bool:
@@ -93,21 +104,20 @@ def _by_family(family: str, lyndon: T, nyldon: T) -> T:
     return lyndon if family == "lyndon" else nyldon
 
 
-def exhaustive_factorizations(
-    w: Word, family: str, monotonicity: str, max_len: int = 10
-) -> list[tuple[Word, ...]]:
+def exhaustive_factorizations(w: Word, family: str, monotonicity: str) -> list[tuple[Word, ...]]:
     """Every factorization of w into family members satisfying the
     monotonicity, found by exhaustive search over all split points.
 
     family is "lyndon" or "nyldon"; monotonicity is "nonincreasing" or
     "nondecreasing".  Membership uses the recursive definitions above,
     so the search is independent of the production factorizers whose
-    uniqueness claims it checks.
+    uniqueness claims it checks.  Words of more than 10 letters are
+    refused.
     """
     if not w:
         raise ValueError("cannot factorize the empty word")
-    if len(w) > max_len:
-        raise ValueError(f"length {len(w)} exceeds the search bound {max_len}")
+    if len(w) > 10:
+        raise ValueError(f"length {len(w)} exceeds the search bound 10")
     member = _by_family(family, recursive_is_lyndon, recursive_is_nyldon)
     if monotonicity == "nondecreasing":
         ordered = lambda prev, f: prev <= f
@@ -210,7 +220,7 @@ def counting_bijection(alphabet: Alphabet, n: int) -> dict[Word, Word]:
     than BIJECTION_BUDGET words of length <= n raise ValueError up front.
     """
     if n < 2:
-        raise ValueError("needs length >= 2")
+        raise ValueError("n must be at least 2")
     k = alphabet.size
     _refuse_past(BIJECTION_BUDGET, accumulate(k ** d for d in range(1, n + 1)),
                  f"a bijection with k={k} letters at length n={n}")
@@ -261,18 +271,18 @@ def is_forbidden_prefix_upto(prefix: Word, max_len: int, alphabet: Alphabet) -> 
     return True
 
 
-def is_comma_free_definitional(code: Iterable[Word], n: int, max_blocks: int = 3) -> CodeVerdict:
+def is_comma_free_definitional(code: Iterable[Word], n: int) -> CodeVerdict:
     """Comma-freeness checked directly against the definition.
 
-    Every message of at most max_blocks codewords is cut every possible
-    way into u x v with x in C+, and u, v are required to parse.  This
-    is the oracle for the two-block reduction; three blocks already
-    realize every straddling pattern a uniform code admits.  Cost grows
-    as |C|^max_blocks.
+    Every message of at most three codewords is cut every possible way
+    into u x v with x in C+, and u, v are required to parse.  This is
+    the oracle for the two-block reduction; three blocks already realize
+    every straddling pattern a uniform code admits, so no more are
+    tried.  Cost grows as |C|^3.
     """
     words = _uniform(code, n)
     ordered = sorted(words)
-    for blocks in range(1, max_blocks + 1):
+    for blocks in range(1, 4):
         for msg in product(ordered, repeat=blocks):
             w = sum(msg, ())
             for a in range(len(w) + 1):

@@ -21,16 +21,6 @@ Word = tuple[int, ...]
 ENUMERATION_BUDGET = 3 * 10 ** 5
 
 
-def rotations(w: Word) -> list[Word]:
-    """The |w| rotations w[i:] + w[:i] for i = 0..|w|-1, in that order.
-
-    Duplicates are retained, so a non-primitive word repeats entries.
-    """
-    if not w:
-        raise ValueError("the empty word has no rotations")
-    return [w[i:] + w[:i] for i in range(len(w))]
-
-
 def is_primitive(w: Word) -> bool:
     """True iff w is nonempty and not u**m for any shorter u and m >= 2.
 

@@ -1,10 +1,28 @@
-"""Shared fixtures: exhaustive membership tables reused across files."""
+"""Shared fixtures: exhaustive membership tables reused across files,
+and the environment for tests that run this checkout in a fresh
+interpreter."""
+
+import os
+from pathlib import Path
 
 import pytest
 
 from nyldon import Alphabet, is_lyndon, is_nyldon
 
 BINARY = Alphabet(2)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="session")
+def checkout_env():
+    """A function of extra paths: a copy of os.environ whose PYTHONPATH
+    puts this checkout's src first, then the extra paths, then whatever
+    PYTHONPATH already held."""
+    def env(*extra):
+        return {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), *map(str, extra), os.environ.get("PYTHONPATH")])
+        )}
+    return env
 
 
 @pytest.fixture(scope="session")

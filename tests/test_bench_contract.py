@@ -18,7 +18,6 @@ import hashlib
 import inspect
 import io
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -53,17 +52,17 @@ for name, m in modules.items():
 """
 
 
-def run_with_bench_on_path(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), str(ROOT / "bench"), env.get("PYTHONPATH")])
-    )
-    return subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=ROOT,
-    )
+@pytest.fixture
+def run_with_bench_on_path(checkout_env):
+    def run(script):
+        return subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=checkout_env(ROOT / "bench"), cwd=ROOT,
+        )
+    return run
 
 
-def test_tracer_wraps_every_layer_and_restores_it():
+def test_tracer_wraps_every_layer_and_restores_it(run_with_bench_on_path):
     proc = run_with_bench_on_path(SCRIPT)
     assert proc.returncode == 0, proc.stderr
 
@@ -96,7 +95,7 @@ def test_bench_library_calls_bind_to_their_signatures(script):
     assert unbound == []
 
 
-def test_bench_job_lists_build():
+def test_bench_job_lists_build(run_with_bench_on_path):
     proc = run_with_bench_on_path(
         "import sys, jobs\n"
         "if not (jobs.word_ladder(1) and jobs.cli(1)):\n"

@@ -1,7 +1,6 @@
 """End-to-end command-line behavior: golden outputs and exit codes."""
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -256,11 +255,18 @@ def test_codes_circular(capsys):
     assert (code, out) == (
         0, "circular (bounded search, messages up to 1000 letters): yes\n",
     )
+    # the binary code of length 2 is {01}, so n*|C| = 2 letters is exact
+    code, out, err = run(
+        capsys, "codes", "circular", "-k", "2", "-n", "2", "--bound", "2"
+    )
+    assert (code, out) == (
+        0, "circular (bounded search, messages up to 2 letters): yes\n",
+    )
 
 
-def test_codes_circular_bound_below_two_codewords_names_the_bound(capsys):
-    assert run(capsys, "codes", "circular", "-k", "2", "-n", "3", "--bound", "5") == (
-        1, "", "error: a bound of 5 letters is below two codewords of length 3\n",
+def test_codes_circular_bound_below_one_codeword_names_the_bound(capsys):
+    assert run(capsys, "codes", "circular", "-k", "2", "-n", "3", "--bound", "2") == (
+        1, "", "error: a bound of 2 letters is below one codeword of length 3\n",
     )
 
 
@@ -304,6 +310,12 @@ def test_sizes_below_one_are_domain_errors(capsys):
         assert err.startswith("error:"), argv
 
 
+def test_bijection_below_length_two_names_n(capsys):
+    assert run(capsys, "bijection", "-k", "2", "-n", "1") == (
+        1, "", "error: n must be at least 2\n",
+    )
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "-k", "2"])  # missing --max-len
@@ -320,15 +332,7 @@ def test_usage_errors_exit_2(capsys):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def checkout_env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    return env
-
-
-def test_importing_the_cli_leaves_json_unloaded(tmp_path):
+def test_importing_the_cli_leaves_json_unloaded(tmp_path, checkout_env):
     # only `factorize --json` needs json; a one-word query should not
     # pay for importing it
     proc = subprocess.run(
@@ -338,7 +342,7 @@ def test_importing_the_cli_leaves_json_unloaded(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
-def test_codes_circular_refuses_work_past_its_budget(tmp_path):
+def test_codes_circular_refuses_work_past_its_budget(tmp_path, checkout_env):
     # 48 codewords over four blocks would be 5.4 million messages; the
     # search must refuse before it starts, not run for minutes
     proc = subprocess.run(
@@ -363,7 +367,7 @@ def test_codes_circular_refuses_work_past_its_budget(tmp_path):
     (["lazard", "--side", "right", "--select", "max", "-k", "2", "-n", "30", "--trace"],
      ("k=2", "n=30", "6500000 snapshot words")),
 ])
-def test_size_commands_refuse_work_past_their_budgets(tmp_path, argv, names):
+def test_size_commands_refuse_work_past_their_budgets(tmp_path, checkout_env, argv, names):
     # each of these would run for hours or exhaust memory; the command
     # must refuse before it starts
     proc = subprocess.run(
@@ -379,7 +383,7 @@ def test_size_commands_refuse_work_past_their_budgets(tmp_path, argv, names):
     ("right", "min", "nyldon"),
     ("left", "max", "lyndon"),
 ])
-def test_lazard_summary_lines_run_past_the_snapshot_budget(tmp_path, side, select, family):
+def test_lazard_summary_lines_run_past_the_snapshot_budget(tmp_path, checkout_env, side, select, family):
     # binary n=13 is past lazard_run's budget, but the summary line
     # only enumerates the 1377 Nyldon or Lyndon words
     proc = subprocess.run(
@@ -391,7 +395,20 @@ def test_lazard_summary_lines_run_past_the_snapshot_budget(tmp_path, side, selec
     assert len(proc.stdout.split()) == sum(count_by_length(family, Alphabet(2), 13))
 
 
-def test_console_script_is_installed(tmp_path):
+def test_a_stdout_closed_early_ends_the_cli_quietly(tmp_path, checkout_env):
+    # about 1 MB of rows, far past a pipe buffer: the reader takes one
+    # line and closes the pipe while the command is still writing
+    with subprocess.Popen(
+        [sys.executable, "-m", "nyldon.cli", "bijection", "-k", "2", "-n", "15"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=checkout_env(), cwd=tmp_path,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, first, err) == (1, b"000000000000000 111111111111111\n", b"")
+
+
+def test_console_script_is_installed(tmp_path, checkout_env):
     """The declared `nyldon` console script runs this checkout's code.
 
     The entry point is read from pyproject.toml and run in a fresh

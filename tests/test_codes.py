@@ -1,11 +1,9 @@
 """Block-code checks on the fixed-length Nyldon codes."""
 
-import os
 import random
 import subprocess
 import sys
 from itertools import product
-from pathlib import Path
 
 import pytest
 
@@ -27,8 +25,6 @@ from golden import (
     COMMA_FREE_WITNESS_K4_N2,
     w,
 )
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def code(k, n):
@@ -97,7 +93,7 @@ def test_table_matches_the_classification():
         assert holds == nyldon_comma_free_classification(k, n)
 
 
-def test_table_disagreement_raises_under_optimization(tmp_path):
+def test_table_disagreement_raises_under_optimization(tmp_path, checkout_env):
     # python -O strips bare asserts; the table's check must survive it
     child = (
         "import nyldon.codes as codes\n"
@@ -105,13 +101,9 @@ def test_table_disagreement_raises_under_optimization(tmp_path):
         "codes.nyldon_comma_free_classification = lambda k, n: not right(k, n)\n"
         "codes.nyldon_comma_free_table(2, 2)\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", child],
-        capture_output=True, text=True, env=env, cwd=tmp_path,
+        capture_output=True, text=True, env=checkout_env(), cwd=tmp_path,
     )
     assert proc.returncode == 1
     assert "AssertionError" in proc.stderr and "k=2, n=1" in proc.stderr
@@ -199,6 +191,20 @@ def test_circular_search_matches_the_definition():
         compared += 1
         several_blocks += expected is not None and len(expected[0] + expected[1]) > n
     assert compared > 1000 and several_blocks > 0
+    # bounds of n..2n-1 letters hold one codeword: only its rotations are tried
+    compared = witnessed = 0
+    for _ in range(1200):
+        k, n = rng.randint(2, 4), rng.randint(1, 5)
+        candidates = list(product(range(k), repeat=n))
+        c = rng.sample(candidates, rng.randint(0, min(8, len(candidates))))
+        max_total = rng.randint(n, 2 * n - 1)
+        expected = circular_definitional(c, n, max_total)
+        verdict = is_circular_bounded(c, n, max_total)
+        assert verdict == (expected is None, expected), (c, n, max_total)
+        compared += 1
+        witnessed += expected is not None
+    assert witnessed > 0 and compared - witnessed > 0
+    assert is_circular_bounded({w("0101")}, 4, 4) == (False, (w("01"), w("01")))
     # the witness spans 3 blocks, as many as there are codewords
     c = {w("0001"), w("0111"), w("1100")}
     witness = (w("00"), w("0111000111"))
@@ -209,9 +215,9 @@ def test_circular_search_matches_the_definition():
 
 
 def test_circular_bound_validation():
-    below_two_blocks = "a bound of 5 letters is below two codewords of length 3"
-    with pytest.raises(ValueError, match=below_two_blocks):
-        is_circular_bounded(code(2, 3), 3, 5)
+    below_one_block = "a bound of 2 letters is below one codeword of length 3"
+    with pytest.raises(ValueError, match=below_one_block):
+        is_circular_bounded(code(2, 3), 3, 2)
 
 
 def test_uniformity_validation():

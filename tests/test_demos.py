@@ -1,6 +1,5 @@
 """Every demo script runs to completion against this checkout."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,12 +10,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("script", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
-def test_demo_runs(script, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
+def test_demo_runs(script, tmp_path, checkout_env):
     proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, env=env, cwd=tmp_path,
+        [sys.executable, str(script)], capture_output=True, text=True, env=checkout_env(),
+        cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr

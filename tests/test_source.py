@@ -87,3 +87,31 @@ def test_cli_handlers_leave_the_exit_status_to_main():
         or (isinstance(node, ast.Attribute) and node.attr == "stderr")
     ]
     assert found == [], f"cli handlers that return a value or write to stderr: {', '.join(found)}"
+
+
+def test_rotation_scans_and_oracle_imports_stay_in_their_modules():
+    # the list of every rotation is a brute-force reference: only oracle.py
+    # defines or calls it, and only the CLI and the package's re-exports
+    # import oracle.  Two brute-force paths outside oracle stay because
+    # bench/ looks them up by module: conjugacy.nyldon_conjugate_bruteforce
+    # and codes.is_circular_bounded.
+    rotation_uses, oracle_imports = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if path.name != "oracle.py" and (
+                (isinstance(node, ast.FunctionDef) and node.name == "rotations")
+                or (isinstance(node, ast.Call)
+                    and "rotations" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+            ):
+                rotation_uses.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # `from .oracle import f`, and also `from . import oracle`
+                modules = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            if "oracle" in (m.split(".")[-1] for m in modules) and path.name not in ("cli.py", "__init__.py"):
+                oracle_imports.append(f"{path.name}:{node.lineno}")
+    assert rotation_uses == [], f"rotations outside oracle.py: {', '.join(rotation_uses)}"
+    assert oracle_imports == [], f"oracle imported outside cli.py and __init__.py: {', '.join(oracle_imports)}"
