@@ -21,7 +21,11 @@ from .factorization import enumerate_nyldon, is_nyldon, nyldon_factorize
 from .lazard import lazard_run
 from .lyndon import enumerate_lyndon, is_lyndon, lyndon_factorize
 from .oracle import count_by_length, counting_bijection, necklace_count
-from .words import Alphabet, Word, _read_letters, format_factorization, reverse_permutation
+from .words import Alphabet, Word, _read_letters, _refuse_past, format_factorization, reverse_permutation
+
+# the most letters `powers` factorizes, the sum of e*|w| over e <= --max-exp;
+# the largest accepted call takes about 2 s
+POWERS_BUDGET = 15 * 10 ** 5
 
 
 def _parse_word(text: str) -> tuple[Word, Alphabet]:
@@ -91,18 +95,20 @@ def _cmd_lazard(args: argparse.Namespace) -> None:
     if (side, select) == ("left", "max"):
         # left working sets are prefix-free, so left/max is left/min relabeled
         select, reverse = "min", not reverse
-    # the run under the letter-reversed order is the plain run relabeled letter
-    # by letter; its letters are in range, so apply_permutation's checks are skipped
+    if args.trace:
+        steps = lazard_run(side, select, alphabet, args.n).steps
+    else:  # each run drains a family in order (the table in nyldon.lazard's docstring)
+        enum = enumerate_nyldon if (side, select) == ("right", "min") else enumerate_lyndon
+        eliminated = sorted(enum(alphabet, args.n), reverse=select == "max")
+    # the reversed-order run is the plain run relabeled letter by letter (in range, so
+    # without apply_permutation's checks) through a k-entry table, once a budget took k
     perm = reverse_permutation(args.k) if reverse else None
     relabel = (lambda w: w) if perm is None else (lambda w: tuple(map(perm.__getitem__, w)))
     if args.trace:
-        for i, step in enumerate(lazard_run(side, select, alphabet, args.n).steps, 1):
+        for i, step in enumerate(steps, 1):
             snapshot = " ".join(alphabet.format(w) for w in sorted(map(relabel, step.snapshot)))
             print(f"{i} | {snapshot} | {alphabet.format(relabel(step.chosen))}")
         return
-    # each run drains a family in order (the table in nyldon.lazard's docstring)
-    enum = enumerate_nyldon if (side, select) == ("right", "min") else enumerate_lyndon
-    eliminated = sorted(enum(alphabet, args.n), reverse=select == "max")
     print(" ".join(alphabet.format(relabel(w)) for w in eliminated))
 
 
@@ -140,6 +146,8 @@ def _cmd_powers(args: argparse.Namespace) -> None:
     w, alphabet = _parse_word(args.word)
     if args.max_exp < 1:
         raise ValueError("--max-exp must be at least 1")
+    _refuse_past(POWERS_BUDGET, [len(w) * args.max_exp * (args.max_exp + 1) // 2],
+                 f"factorizing w^1..w^{args.max_exp} with |w|={len(w)}", "letters")
     factorize = nyldon_factorize if args.family == "nyldon" else lyndon_factorize
     for e in range(1, args.max_exp + 1):
         print(e, format_factorization(alphabet, factorize(w * e)))
@@ -229,6 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()  # so a reader gone before the flush at exit meets the handler below
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, product
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .codes import CodeVerdict, _uniform, in_code_star
 from .factorization import _nyldon_by_length, is_nyldon
@@ -44,32 +44,48 @@ def rotations(w: Word) -> list[Word]:
     return [w[i:] + w[:i] for i in range(len(w))]
 
 
-def _has_monotone_split(w: Word, member: Callable[[Word], bool], nondecreasing: bool) -> bool:
-    """Does w factor into >= 2 member words whose sequence is
-    nondecreasing (or nonincreasing)?  All factors of such a split are
-    automatically shorter than w.  Memoized on (position, previous
-    factor), where the previous factor is always the adjacent w[a:i]."""
+def _monotone_splits(w: Word, member: Callable[[Word], bool],
+                     nondecreasing: bool) -> Iterator[tuple[Word, ...]]:
+    """Every factorization of w into >= 2 member words whose sequence is
+    nondecreasing (or nonincreasing), lazily and in cut-point order.
+    All its factors are shorter than w, so member may recurse on them.
+    A state (i, a), the tail w[i:] after the factor w[a:i], that found
+    nothing is never searched again, so the first split, or the word's
+    lack of one, takes polynomially many states."""
     n = len(w)
-    memo: dict[tuple[int, int], bool] = {}
+    dead: set[tuple[int, int]] = set()
 
-    def tail_ok(i: int, a: int) -> bool:
-        # can w[i:] be cut into >= 1 member words, the first comparing
-        # against the previous factor w[a:i], each next against its own
-        # predecessor?
-        if (i, a) in memo:
-            return memo[i, a]
-        prev = w[a:i]
-        ok = False
+    def tails(i: int, a: int) -> Iterator[tuple[Word, ...]]:
+        # the ordered cuts of w[i:] into member words after the factor w[a:i]
+        prev, found = w[a:i], False
         for j in range(i + 1, n + 1):
             f = w[i:j]
-            ordered = prev <= f if nondecreasing else f <= prev
-            if ordered and member(f) and (j == n or tail_ok(j, i)):
-                ok = True
-                break
-        memo[i, a] = ok
-        return ok
+            if not (prev <= f if nondecreasing else f <= prev):
+                if prev[:j - i] != f:  # then every longer f is out of order too
+                    break
+            elif member(f):
+                if j == n:
+                    found = True
+                    yield (f,)
+                elif (j, i) not in dead:
+                    for rest in tails(j, i):
+                        found = True
+                        yield (f, *rest)
+        if not found:
+            dead.add((i, a))
 
-    return any(member(w[:j]) and tail_ok(j, 0) for j in range(1, n))
+    for j in range(1, n):
+        if member(w[:j]):
+            for rest in tails(j, 0):
+                yield (w[:j], *rest)
+
+
+def _recursive_member(w: Word, member: Callable[[Word], bool], nondecreasing: bool) -> bool:
+    """Membership by the recursion both families share: no split into
+    shorter members in the family's order (a letter has none)."""
+    if not w:
+        raise ValueError("the empty word is not eligible")
+    return not any(_monotone_splits(w, member, nondecreasing))
 
 
 @lru_cache(maxsize=None)
@@ -78,11 +94,7 @@ def recursive_is_nyldon(w: Word) -> bool:
     are Nyldon, and a longer word is Nyldon iff it admits no
     factorization into two or more shorter Nyldon words in nondecreasing
     order.  Costly; intended for short words."""
-    if not w:
-        raise ValueError("the empty word is not eligible")
-    if len(w) == 1:
-        return True
-    return not _has_monotone_split(w, recursive_is_nyldon, nondecreasing=True)
+    return _recursive_member(w, recursive_is_nyldon, nondecreasing=True)
 
 
 @lru_cache(maxsize=None)
@@ -90,11 +102,7 @@ def recursive_is_lyndon(w: Word) -> bool:
     """Lyndon membership from the mirror recursion: letters are Lyndon,
     and a longer word is Lyndon iff it admits no factorization into two
     or more shorter Lyndon words in nonincreasing order."""
-    if not w:
-        raise ValueError("the empty word is not eligible")
-    if len(w) == 1:
-        return True
-    return not _has_monotone_split(w, recursive_is_lyndon, nondecreasing=False)
+    return _recursive_member(w, recursive_is_lyndon, nondecreasing=False)
 
 
 def _by_family(family: str, lyndon: T, nyldon: T) -> T:
@@ -104,12 +112,13 @@ def _by_family(family: str, lyndon: T, nyldon: T) -> T:
     return lyndon if family == "lyndon" else nyldon
 
 
-def exhaustive_factorizations(w: Word, family: str, monotonicity: str) -> list[tuple[Word, ...]]:
-    """Every factorization of w into family members satisfying the
-    monotonicity, found by exhaustive search over all split points.
+def exhaustive_factorizations(w: Word, family: str) -> list[tuple[Word, ...]]:
+    """Every factorization of w into family members in the family's
+    order, found by exhaustive search over all split points and listed
+    in cut-point order.
 
-    family is "lyndon" or "nyldon"; monotonicity is "nonincreasing" or
-    "nondecreasing".  Membership uses the recursive definitions above,
+    family is "lyndon" (factors nonincreasing) or "nyldon" (factors
+    nondecreasing).  Membership uses the recursive definitions above,
     so the search is independent of the production factorizers whose
     uniqueness claims it checks.  Words of more than 10 letters are
     refused.
@@ -119,29 +128,9 @@ def exhaustive_factorizations(w: Word, family: str, monotonicity: str) -> list[t
     if len(w) > 10:
         raise ValueError(f"length {len(w)} exceeds the search bound 10")
     member = _by_family(family, recursive_is_lyndon, recursive_is_nyldon)
-    if monotonicity == "nondecreasing":
-        ordered = lambda prev, f: prev <= f
-    elif monotonicity == "nonincreasing":
-        ordered = lambda prev, f: f <= prev
-    else:
-        raise ValueError(f"unknown monotonicity {monotonicity!r}")
-
-    results: list[tuple[Word, ...]] = []
-    partial: list[Word] = []
-
-    def extend(i: int) -> None:
-        if i == len(w):
-            results.append(tuple(partial))
-            return
-        for j in range(i + 1, len(w) + 1):
-            f = w[i:j]
-            if (not partial or ordered(partial[-1], f)) and member(f):
-                partial.append(f)
-                extend(j)
-                partial.pop()
-
-    extend(0)
-    return results
+    # w is a member, hence its own one-factor factorization (the last in
+    # cut-point order), iff it has no split
+    return list(_monotone_splits(w, member, nondecreasing=family == "nyldon")) or [(w,)]
 
 
 def _moebius(n: int) -> int:

@@ -88,7 +88,7 @@ def test_03_factorization_is_unique_up_to_length_10():
     t0 = time.perf_counter()
     checked = 0
     for v in A2.words_upto(10):
-        found = exhaustive_factorizations(v, "nyldon", "nondecreasing")
+        found = exhaustive_factorizations(v, "nyldon")
         assert found == [nyldon_factorize(v)]
         checked += 1
     assert checked == 2046

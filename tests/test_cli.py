@@ -366,6 +366,10 @@ def test_codes_circular_refuses_work_past_its_budget(tmp_path, checkout_env):
      ("k=2", "n=30", "300000 words")),
     (["lazard", "--side", "right", "--select", "max", "-k", "2", "-n", "30", "--trace"],
      ("k=2", "n=30", "6500000 snapshot words")),
+    (["powers", "10", "--max-exp", "1000000000"], ("|w|=2", "w^1000000000", "1500000 letters")),
+    # the relabeling table for --perm reverse holds k letters, so it waits for the budget
+    (["lazard", "--side", "right", "--select", "min", "-k", "1000000000", "-n", "2", "--perm",
+      "reverse"], ("k=1000000000", "n=2", "300000 words")),
 ])
 def test_size_commands_refuse_work_past_their_budgets(tmp_path, checkout_env, argv, names):
     # each of these would run for hours or exhaust memory; the command
@@ -406,6 +410,20 @@ def test_a_stdout_closed_early_ends_the_cli_quietly(tmp_path, checkout_env):
         proc.stdout.close()
         err = proc.stderr.read()
     assert (proc.returncode, first, err) == (1, b"000000000000000 111111111111111\n", b"")
+
+
+def test_a_stdout_closed_before_the_final_flush_ends_the_cli_quietly(tmp_path, checkout_env):
+    # with buffered stdout, one short line is written only when it is
+    # flushed, and the reader is gone by then
+    env = checkout_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with subprocess.Popen(
+        [sys.executable, "-m", "nyldon.cli", "test", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=tmp_path,
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_console_script_is_installed(tmp_path, checkout_env):
