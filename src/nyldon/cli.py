@@ -12,6 +12,7 @@ as one `error:` line.  A stdout closed early also exits 1, quietly.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -21,7 +22,7 @@ from .factorization import enumerate_nyldon, is_nyldon, nyldon_factorize
 from .lazard import lazard_run
 from .lyndon import enumerate_lyndon, is_lyndon, lyndon_factorize
 from .oracle import count_by_length, counting_bijection, necklace_count
-from .words import Alphabet, Word, _read_letters, _refuse_past, format_factorization, reverse_permutation
+from .words import Alphabet, Word, _read_letters, _refuse_past, format_factorization
 
 # the most letters `powers` factorizes, the sum of e*|w| over e <= --max-exp;
 # the largest accepted call takes about 2 s
@@ -95,21 +96,16 @@ def _cmd_lazard(args: argparse.Namespace) -> None:
     if (side, select) == ("left", "max"):
         # left working sets are prefix-free, so left/max is left/min relabeled
         select, reverse = "min", not reverse
+    # the reversed-order run is the plain run with each letter a read as k-1-a
+    relabel = (lambda w: tuple(map((args.k - 1).__sub__, w))) if reverse else (lambda w: w)
     if args.trace:
-        steps = lazard_run(side, select, alphabet, args.n).steps
+        for i, step in enumerate(lazard_run(side, select, alphabet, args.n).steps, 1):
+            snapshot = " ".join(alphabet.format(w) for w in sorted(map(relabel, step.snapshot)))
+            print(f"{i} | {snapshot} | {alphabet.format(relabel(step.chosen))}")
     else:  # each run drains a family in order (the table in nyldon.lazard's docstring)
         enum = enumerate_nyldon if (side, select) == ("right", "min") else enumerate_lyndon
         eliminated = sorted(enum(alphabet, args.n), reverse=select == "max")
-    # the reversed-order run is the plain run relabeled letter by letter (in range, so
-    # without apply_permutation's checks) through a k-entry table, once a budget took k
-    perm = reverse_permutation(args.k) if reverse else None
-    relabel = (lambda w: w) if perm is None else (lambda w: tuple(map(perm.__getitem__, w)))
-    if args.trace:
-        for i, step in enumerate(steps, 1):
-            snapshot = " ".join(alphabet.format(w) for w in sorted(map(relabel, step.snapshot)))
-            print(f"{i} | {snapshot} | {alphabet.format(relabel(step.chosen))}")
-        return
-    print(" ".join(alphabet.format(relabel(w)) for w in eliminated))
+        print(" ".join(alphabet.format(relabel(w)) for w in eliminated))
 
 
 def _cmd_codes(args: argparse.Namespace) -> None:
@@ -157,6 +153,7 @@ def _add_family(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--family", choices=["lyndon", "nyldon"], default="nyldon")
 
 
+@functools.cache  # built on first use, not at import, and then reused by every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nyldon",

@@ -119,9 +119,7 @@ def is_circular_bounded(code: Iterable[Word], n: int, max_total: int | None = No
 
 def nyldon_code(alphabet: Alphabet, n: int) -> frozenset[Word]:
     """The Nyldon words of length exactly n, as a uniform-length code.
-    Raises ValueError past ENUMERATION_BUDGET."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    Raises ValueError for n < 1 or past ENUMERATION_BUDGET."""
     return frozenset(_nyldon_by_length(alphabet, n)[n])
 
 

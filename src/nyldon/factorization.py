@@ -67,7 +67,8 @@ def _nyldon_by_length(alphabet: Alphabet, max_len: int) -> list[dict[Word, Word 
     right(u) <= v, where uv's standard factorization is u.v.  So for
     each shorter u the admissible v of length n - |u| are one
     contiguous range of the sorted group, cut out by two bisections,
-    and the work follows the number of words made.
+    and the work follows the number of words made.  Raises ValueError
+    for max_len < 1 or past ENUMERATION_BUDGET.
     """
     _check_enumeration_budget("Nyldon", alphabet, max_len)
     groups: list[dict[Word, Word | None]] = [{}, dict.fromkeys((a,) for a in alphabet.letters())]
@@ -90,11 +91,9 @@ def enumerate_nyldon(alphabet: Alphabet, max_len: int) -> list[Word]:
     lexicographic within each length.
 
     Built up from the letters by the Hall-set recurrence of
-    _nyldon_by_length; no membership test runs.  Raises ValueError past
-    ENUMERATION_BUDGET.
+    _nyldon_by_length; no membership test runs.  Raises ValueError for
+    max_len < 1 or past ENUMERATION_BUDGET.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
     return [w for group in _nyldon_by_length(alphabet, max_len) for w in group]
 
 

@@ -75,21 +75,21 @@ def lazard_run(
     eliminated words u_1, ..., u_t and the final working set Y_t satisfy
     prod_s 1/(1 - x^|u_s|) * 1/(1 - Y_t(x)) = 1/(1 - kx) mod x^(n+1),
     whatever word each step picks: at most k^l eliminated words have
-    length l, and none is eliminated twice.  A run past LAZARD_BUDGET
-    raises ValueError before it starts.
+    length l, and none is eliminated twice.  A run with max_len < 1 or
+    past LAZARD_BUDGET raises ValueError before it starts.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
     if selector not in ("min", "max"):
         raise ValueError(f"selector must be 'min' or 'max', not {selector!r}")
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
     pick = min if selector == "min" else max
     k = alphabet.size
+    what = f"an elimination with k={k} letters up to length n={max_len}"
+    if max_len < 1:
+        raise ValueError(f"{what} needs n >= 1")
     universes = accumulate(k ** i for i in range(1, max_len + 1))
     families = accumulate(_enumeration_sizes(k, max_len))
-    _refuse_past(LAZARD_BUDGET, (u * f for u, f in zip(universes, families)),
-                 f"an elimination with k={k} letters up to length n={max_len}", "snapshot words")
+    _refuse_past(LAZARD_BUDGET, (u * f for u, f in zip(universes, families)), what, "snapshot words")
 
     pool: set[Word] = {(a,) for a in alphabet.letters()}
     steps: list[LazardStep] = []
@@ -120,9 +120,8 @@ def lazard_stepcount_nyldon(alphabet: Alphabet, max_len: int) -> tuple[int, int]
     the working set when v is eliminated, at step rank(v) + 1.  So j is
     1 + the rank of the greatest right part _nyldon_by_length records,
     or of (), ranked 0, when there are only letters.  No run is needed.
+    Raises ValueError for max_len < 1 or past ENUMERATION_BUDGET.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
     groups = _nyldon_by_length(alphabet, max_len)
     words = [w for group in groups for w in group]
     last = max((v for group in groups for v in group.values() if v is not None), default=())

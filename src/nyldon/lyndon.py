@@ -71,7 +71,8 @@ def _lyndon_by_length(alphabet: Alphabet, max_len: int) -> list[list[Word]]:
     Duval's (1988) successor step visits every Lyndon word of length
     <= max_len in lexicographic order: repeat w periodically up to
     max_len letters, drop the trailing maximal letters, and increment
-    the last letter left.
+    the last letter left.  Raises ValueError for max_len < 1 or past
+    ENUMERATION_BUDGET.
     """
     _check_enumeration_budget("Lyndon", alphabet, max_len)
     top = alphabet.size - 1
@@ -92,9 +93,7 @@ def enumerate_lyndon(alphabet: Alphabet, max_len: int) -> list[Word]:
     lexicographic within each length.
 
     Generated in lexicographic order by Duval's successor step and
-    bucketed by length; no membership test runs.  Raises ValueError
-    past ENUMERATION_BUDGET.
+    bucketed by length; no membership test runs.  Raises ValueError for
+    max_len < 1 or past ENUMERATION_BUDGET.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
     return [w for group in _lyndon_by_length(alphabet, max_len) for w in group]

@@ -183,10 +183,8 @@ def enumerate_by_filter(family: str, alphabet: Alphabet, max_len: int) -> list[W
 def count_by_length(family: str, alphabet: Alphabet, n_max: int) -> list[int]:
     """Per-length counts of the family's words over the alphabet,
     lengths 1..n_max (index 0 is length 1): the sizes of the groups the
-    family's generator makes.  Raises ValueError past
+    family's generator makes.  Raises ValueError for n_max < 1 or past
     ENUMERATION_BUDGET."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
     by_length = _by_family(family, _lyndon_by_length, _nyldon_by_length)
     return [len(group) for group in by_length(alphabet, n_max)[1:]]
 

@@ -89,10 +89,13 @@ def _enumeration_sizes(k: int, max_len: int) -> Iterator[int]:
 
 def _check_enumeration_budget(family: str, alphabet: Alphabet, max_len: int) -> None:
     """Refuse an enumeration of the family's words of length <= max_len
-    whose _enumeration_sizes sum past ENUMERATION_BUDGET."""
+    when max_len < 1 or its _enumeration_sizes sum past
+    ENUMERATION_BUDGET."""
     k = alphabet.size
-    _refuse_past(ENUMERATION_BUDGET, itertools.accumulate(_enumeration_sizes(k, max_len)),
-                 f"enumerating {family} words with k={k} letters up to length n={max_len}")
+    what = f"enumerating {family} words with k={k} letters up to length n={max_len}"
+    if max_len < 1:
+        raise ValueError(f"{what} needs n >= 1")
+    _refuse_past(ENUMERATION_BUDGET, itertools.accumulate(_enumeration_sizes(k, max_len)), what)
 
 
 class Alphabet(namedtuple("Alphabet", "size")):

@@ -13,11 +13,13 @@ from nyldon import (
     enumerate_nyldon,
     is_nyldon,
     lazard_run,
+    lazard_stepcount_nyldon,
     necklace_count,
     nyldon_code,
     standard_factorization,
 )
 from nyldon.factorization import _nyldon_by_length
+from nyldon.lyndon import _lyndon_by_length
 from nyldon.words import ENUMERATION_BUDGET, _check_enumeration_budget
 
 A2 = Alphabet(2)
@@ -58,6 +60,27 @@ def test_enumeration_budget_boundary():
     _check_enumeration_budget("Nyldon", A2, 21)
     with pytest.raises(ValueError, match=f"k=2 letters up to length n=22 .* {ENUMERATION_BUDGET}"):
         _check_enumeration_budget("Nyldon", A2, 22)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("family, call", [
+    ("Lyndon", lambda n: _lyndon_by_length(A2, n)),
+    ("Nyldon", lambda n: _nyldon_by_length(A2, n)),
+    ("Lyndon", lambda n: enumerate_lyndon(A2, n)),
+    ("Nyldon", lambda n: enumerate_nyldon(A2, n)),
+    ("Lyndon", lambda n: count_by_length("lyndon", A2, n)),
+    ("Nyldon", lambda n: count_by_length("nyldon", A2, n)),
+    ("Nyldon", lambda n: nyldon_code(A2, n)),
+    ("Nyldon", lambda n: lazard_stepcount_nyldon(A2, n)),
+], ids=["_lyndon_by_length", "_nyldon_by_length", "enumerate_lyndon", "enumerate_nyldon",
+        "count_by_length-lyndon", "count_by_length-nyldon", "nyldon_code",
+        "lazard_stepcount_nyldon"])
+def test_generators_refuse_length_bounds_below_one(family, call, n):
+    # the two generators own the bound, and the wrappers pass their error through
+    with pytest.raises(ValueError) as exc:
+        call(n)
+    assert str(exc.value) == (
+        f"enumerating {family} words with k=2 letters up to length n={n} needs n >= 1")
 
 
 @pytest.mark.parametrize("call", [
