@@ -115,12 +115,10 @@ def _cmd_codes(args: argparse.Namespace) -> None:
         verdict = is_comma_free_uniform(code, args.n)
         print(f"comma-free: {'yes' if verdict.holds else 'no'}")
         if not verdict.holds:
-            u, x, v = verdict.witness
-            blocks = u + x + v
-            message = "".join(f"({alphabet.format(blocks[i:i + args.n])})"
-                              for i in range(0, len(blocks), args.n))
+            u, x, v = verdict.witness  # uxv is two codewords, x astride them
+            message = u + x + v
             print(f"witness: {alphabet.format(u)}({alphabet.format(x)}){alphabet.format(v)}"
-                  f" = {message}")
+                  f" = ({alphabet.format(message[:args.n])})({alphabet.format(message[args.n:])})")
     else:
         bound = args.bound if args.bound is not None else 4 * args.n
         verdict = is_circular_bounded(code, args.n, bound)
@@ -140,10 +138,10 @@ def _cmd_bijection(args: argparse.Namespace) -> None:
 
 def _cmd_powers(args: argparse.Namespace) -> None:
     w, alphabet = _parse_word(args.word)
+    what = f"factorizing w^1..w^{args.max_exp} with |w|={len(w)}"
     if args.max_exp < 1:
-        raise ValueError("--max-exp must be at least 1")
-    _refuse_past(POWERS_BUDGET, [len(w) * args.max_exp * (args.max_exp + 1) // 2],
-                 f"factorizing w^1..w^{args.max_exp} with |w|={len(w)}", "letters")
+        raise ValueError(f"{what} needs --max-exp >= 1")
+    _refuse_past(POWERS_BUDGET, [len(w) * args.max_exp * (args.max_exp + 1) // 2], what, "letters")
     factorize = nyldon_factorize if args.family == "nyldon" else lyndon_factorize
     for e in range(1, args.max_exp + 1):
         print(e, format_factorization(alphabet, factorize(w * e)))

@@ -49,6 +49,8 @@ def _uniform(code: Iterable[Word], n: int) -> frozenset[Word]:
 
 def in_code_star(code: frozenset[Word], n: int, w: Word) -> bool:
     """Is w a concatenation of codewords?  The empty word qualifies."""
+    if n < 1:
+        raise ValueError("codeword length must be at least 1")
     if len(w) % n:
         return False
     return all(w[i:i + n] in code for i in range(0, len(w), n))
@@ -88,14 +90,14 @@ def is_circular_bounded(code: Iterable[Word], n: int, max_total: int | None = No
     Looks for a message uv in C* of at most max_total letters (default
     4n) with vu in C* while u itself does not parse.  Cut x1...xb at r
     letters into block j: the n-blocks of vu are the cyclic straddles
-    x_i[r:] x_{i+1}[:r], the same for every j, so only cuts 0 < r < n
-    in the first block are tried.  The straddles form a closed walk in
-    the graph with an edge y -> z whenever y[r:] z[:r] is a codeword;
-    the shortest closed walk is a cycle, so no message of more than |C|
-    blocks is tried.  A negative verdict is definitive, and so is a
-    positive one once max_total >= n*|C|; below that it is bounded
-    evidence only.  A search that would try more than
-    CIRCULAR_MESSAGE_BUDGET messages raises ValueError before it starts.
+    x_i[r:] x_{i+1}[:r], the same for every j, so only the straddles of
+    cuts 0 < r < n are tested.  They form a closed walk in the graph
+    with an edge y -> z whenever y[r:] z[:r] is a codeword; the shortest
+    closed walk is a cycle, so no message of more than |C| blocks is
+    tried.  A negative verdict is definitive, and so is a positive one
+    once max_total >= n*|C|; below that it is bounded evidence only.  A
+    search that would try more than CIRCULAR_MESSAGE_BUDGET messages
+    raises ValueError before it starts.
     """
     words = _uniform(code, n)
     if max_total is None:
@@ -109,11 +111,10 @@ def is_circular_bounded(code: Iterable[Word], n: int, max_total: int | None = No
                  " letters", "messages")
     for blocks in lengths:
         for msg in product(ordered, repeat=blocks):
-            w = sum(msg, ())
             for r in range(1, n):
-                u, v = w[:r], w[r:]
-                if in_code_star(words, n, v + u):
-                    return CodeVerdict(False, (u, v))
+                if all(x[r:] + y[:r] in words for x, y in zip(msg, msg[1:] + msg[:1])):
+                    w = sum(msg, ())
+                    return CodeVerdict(False, (w[:r], w[r:]))
     return CodeVerdict(True)
 
 

@@ -4,16 +4,16 @@ Everything here recomputes from first principles what lyndon.py,
 factorization.py and codes.py compute by algorithm: membership straight
 from the recursive definitions, factorizations by exhaustive search
 over split points, the two enumerations by filtering all k**n words,
-the classical aperiodic necklace formula for the per-length counts, the
-rank-matching bijection between non-Lyndon and non-Nyldon words of a
-fixed length, forbidden prefixes by trying every extension,
-comma-freeness by cutting every short message, and conjugacy classes
-by listing every rotation.  Tests pit the two sides
-against each other.  The CLI also uses three functions from here:
-count_by_length for `count` (the sizes of the generators' length
-groups), necklace_count for `count --check-formula`, and
-counting_bijection for `bijection`, which ranks the generators' groups
-and maps every word of the given length.
+the per-length counts as aperiodic necklaces by the word-count identity
+k**n = sum of d * count(d) over d | n, the rank-matching bijection
+between non-Lyndon and non-Nyldon words of a fixed length, forbidden
+prefixes by trying every extension, comma-freeness by cutting every
+short message, and conjugacy classes by listing every rotation.  Tests
+pit the two sides against each other.  The CLI also uses three
+functions from here: count_by_length for `count` (the sizes of the
+generators' length groups), necklace_count for `count --check-formula`,
+and counting_bijection for `bijection`, which ranks the generators'
+groups and maps every word of the given length.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from itertools import accumulate, product
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .codes import CodeVerdict, _uniform, in_code_star
-from .factorization import _nyldon_by_length, is_nyldon
+from .factorization import _nyldon_by_length, is_nyldon, nyldon_factorize
 from .lyndon import _lyndon_by_length, is_lyndon, lyndon_factorize
 from .words import Alphabet, Word, _refuse_past
 
@@ -133,37 +133,28 @@ def exhaustive_factorizations(w: Word, family: str) -> list[tuple[Word, ...]]:
     return list(_monotone_splits(w, member, nondecreasing=family == "nyldon")) or [(w,)]
 
 
-def _moebius(n: int) -> int:
-    """mu(n) by trial division; n stays tiny here."""
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
-
-
 def necklace_count(k: int, n: int) -> int:
-    """Number of aperiodic necklaces of length n over k letters:
-    (1/n) * sum of mu(d) * k**(n/d) over the divisors d of n.
+    """Number of aperiodic necklaces of length n over k letters.
 
-    The classical Witt/Moreau count.  It is deliberately an outside
-    oracle: the per-length Lyndon and Nyldon counts computed by
-    enumeration are checked against it, but nothing in the package
-    derives from it.
+    Each word of length m is a power of one primitive word, of a length
+    d dividing m, and each aperiodic necklace of length d holds d
+    primitive words: so k**m = sum of d * count(d) over d | m, solved
+    for count(m) at each divisor m of n, smallest first.  The classical
+    Witt/Moreau count, and deliberately an outside oracle: the per-length
+    Lyndon and Nyldon counts computed by enumeration are checked against
+    it, but nothing in the package derives from it.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    total = sum(_moebius(d) * k ** (n // d) for d in range(1, n + 1) if n % d == 0)
-    if total % n:
-        raise AssertionError(f"necklace sum {total} for k={k}, n={n} is not a multiple of n")
-    return total // n
+    count: dict[int, int] = {}
+    for m in (m for m in range(1, n + 1) if n % m == 0):
+        # the divisors of n already counted that divide m are m's proper divisors
+        primitive = k ** m - sum(d * c for d, c in count.items() if m % d == 0)
+        if primitive % m:
+            raise AssertionError(f"{primitive} primitive words of length {m} over {k} letters"
+                                 f" is not a multiple of {m}")
+        count[m] = primitive // m
+    return count[n]
 
 
 def enumerate_by_filter(family: str, alphabet: Alphabet, max_len: int) -> list[Word]:
@@ -199,18 +190,18 @@ def counting_bijection(alphabet: Alphabet, n: int) -> dict[Word, Word]:
     nonincreasing Lyndon factorization has two or more factors.
     Replace every factor by the Nyldon word of equal length and equal
     rank (repeated factors map to repeated images), sort the images
-    nondecreasingly and concatenate.
-    The image sequence is then the unique nondecreasing Nyldon
-    factorization of the result, so the image has at least two factors
-    and is non-Nyldon.  Bijectivity is checked, not proved here.  Keys
+    nondecreasingly and concatenate.  The image sequence is then the
+    unique nondecreasing Nyldon factorization of the result, so the
+    image has at least two factors and is non-Nyldon.  That
+    factorization and bijectivity are checked, not proved here.  Keys
     come in lexicographic order, as words_of_length makes them.  More
     than BIJECTION_BUDGET words of length <= n raise ValueError up front.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
     k = alphabet.size
-    _refuse_past(BIJECTION_BUDGET, accumulate(k ** d for d in range(1, n + 1)),
-                 f"a bijection with k={k} letters at length n={n}")
+    what = f"a bijection with k={k} letters at length n={n}"
+    if n < 2:
+        raise ValueError(f"{what} needs n >= 2")
+    _refuse_past(BIJECTION_BUDGET, accumulate(k ** d for d in range(1, n + 1)), what)
     lyndon, nyldon = _lyndon_by_length(alphabet, n - 1), _nyldon_by_length(alphabet, n - 1)
     rank_image: dict[Word, Word] = {}
     for d in range(1, n):
@@ -229,8 +220,9 @@ def counting_bijection(alphabet: Alphabet, n: int) -> dict[Word, Word]:
             continue
         images = sorted(rank_image[f] for f in factors)
         image = sum(images, ())
-        if is_nyldon(image):
-            raise AssertionError(f"image {image!r} of non-Lyndon {w!r} is Nyldon")
+        if nyldon_factorize(image) != tuple(images):
+            raise AssertionError(f"the sorted images of the Lyndon factors of {w!r} are not"
+                                 f" the Nyldon factorization of its image {image!r}")
         mapping[w] = image
     if len(set(mapping.values())) != len(mapping):
         raise AssertionError(

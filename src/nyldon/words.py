@@ -105,7 +105,7 @@ class Alphabet(namedtuple("Alphabet", "size")):
 
     def __new__(cls, size: int) -> Alphabet:
         if size < 1:
-            raise ValueError("an alphabet needs at least one letter")
+            raise ValueError(f"an alphabet with k={size} letters needs k >= 1")
         return super().__new__(cls, size)
 
     def letters(self) -> range:

@@ -4,12 +4,12 @@
 names in its `LAYERS` table, so renaming or moving one of them breaks
 only a traced benchmark run.  This runs the tracer's install and
 uninstall in a fresh interpreter, with this checkout's `src` and
-`bench` on the path.  The combinatorics workload checks each job's
-stdout against a sha256 in `bench/digests.json`; those digests are
-checked here too.  The library names that `bench/jobs.py` and
-`bench/tools.py` import, and the keywords they call them with, are
-checked against the package, and the job lists are built once.  Nothing
-under `bench/` is changed.
+`bench` on the path, and so does `bench/selftest.py`.  The
+combinatorics workload checks each job's stdout against a sha256 in
+`bench/digests.json`; those digests are checked here too.  The library
+names that `bench/jobs.py` and `bench/tools.py` import, and the keywords
+they call them with, are checked against the package, and the job lists
+are built once.  Nothing under `bench/` is changed.
 """
 
 import ast
@@ -100,6 +100,15 @@ def test_bench_job_lists_build(run_with_bench_on_path):
         "import sys, jobs\n"
         "if not (jobs.word_ladder(1) and jobs.cli(1)):\n"
         "    sys.exit('an empty job list')\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_selftest_passes(checkout_env):
+    # among its checks: tracing rebinds is_nyldon in every module that binds it
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "selftest.py")], capture_output=True, text=True,
+        env=checkout_env(ROOT / "bench"), cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr
 

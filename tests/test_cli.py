@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: golden outputs and exit codes."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -315,13 +317,29 @@ def test_sizes_below_one_are_domain_errors(capsys):
          "an elimination " + below.format(0)),
         (["codes", "comma-free", "-k", "2", "-n", "0"],
          "enumerating Nyldon words " + below.format(0)),
+        (["powers", "10", "--max-exp", "0"],
+         "factorizing w^1..w^0 with |w|=2 needs --max-exp >= 1"),
+        (["powers", "10", "--max-exp", "-1"],
+         "factorizing w^1..w^-1 with |w|=2 needs --max-exp >= 1"),
     ):
         assert run(capsys, *argv) == (1, "", f"error: {what}\n"), argv
+    # an alphabet size below 1 is refused before any length bound is read
+    for k in ("0", "-1"):
+        for argv in (
+            ["enumerate", "-k", k, "--max-len", "3"],
+            ["count", "-k", k, "-n", "3"],
+            ["lazard", "--side", "right", "--select", "min", "-k", k, "-n", "3"],
+            ["codes", "circular", "-k", k, "-n", "3"],
+            ["bijection", "-k", k, "-n", "3"],
+        ):
+            assert run(capsys, *argv) == (
+                1, "", f"error: an alphabet with k={k} letters needs k >= 1\n",
+            ), argv
 
 
 def test_bijection_below_length_two_names_n(capsys):
     assert run(capsys, "bijection", "-k", "2", "-n", "1") == (
-        1, "", "error: n must be at least 2\n",
+        1, "", "error: a bijection with k=2 letters at length n=1 needs n >= 2\n",
     )
 
 
@@ -465,3 +483,18 @@ def test_console_script_is_installed(tmp_path, checkout_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "true\n"
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys):
+    # every `$ nyldon ...` line in README's sh blocks, and the lines under it
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    examples = [
+        chunk.partition("\n")[::2]
+        for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]
+    ]
+    assert len(examples) == 11
+    for command, expected in examples:
+        program, *argv = shlex.split(command)
+        assert program == "nyldon", command
+        assert run(capsys, *argv) == (0, expected, ""), command

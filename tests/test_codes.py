@@ -44,6 +44,8 @@ def test_in_code_star():
     assert in_code_star(c, 3, w("100101"))
     assert not in_code_star(c, 3, w("1001"))     # wrong total length
     assert not in_code_star(c, 3, w("000100"))   # 000 is not a codeword
+    with pytest.raises(ValueError, match="codeword length must be at least 1"):
+        in_code_star(frozenset(), 0, ())
 
 
 def test_verdict_shapes():

@@ -75,6 +75,17 @@ def test_necklace_count_values():
     assert [necklace_count(2, n) for n in range(1, 15)] == list(BINARY_COUNTS_1_14)
     assert necklace_count(3, 1) == 3
     assert necklace_count(3, 4) == 18
+    assert [necklace_count(0, n) for n in range(1, 5)] == [0, 0, 0, 0]
+    assert [necklace_count(1, n) for n in range(1, 8)] == [1, 0, 0, 0, 0, 0, 0]
+    for (k, n), count in {
+        (2, 30): 35790267,
+        (2, 60): 19215358392200893,
+        (2, 64): 288230376084602880,
+        (3, 24): 11767874940,
+        (10, 12): 83333249175,
+        (6, 36): 286511799958067610667737360,
+    }.items():
+        assert necklace_count(k, n) == count, (k, n)
 
 
 def test_count_by_length_both_families():

@@ -122,7 +122,7 @@ def test_reverse_permutation():
 
 
 def test_alphabet_requires_a_letter():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="an alphabet with k=0 letters needs k >= 1"):
         Alphabet(0)
 
 
