@@ -132,8 +132,9 @@ def _cmd_codes(args: argparse.Namespace) -> None:
 def _cmd_bijection(args: argparse.Namespace) -> None:
     alphabet = Alphabet(args.k)
     mapping = counting_bijection(alphabet, args.n)
-    for w, image in mapping.items():
-        print(alphabet.format(w), alphabet.format(image))
+    fmt = alphabet.format
+    # one write; the mapping is never empty, as a^n (n >= 2) is never Lyndon
+    print("\n".join(f"{fmt(w)} {fmt(image)}" for w, image in mapping.items()))
 
 
 def _cmd_powers(args: argparse.Namespace) -> None:

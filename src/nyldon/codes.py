@@ -6,12 +6,14 @@ u, v in C*.  It is circular when uv, vu in C* forces u, v in C*.
 Comma-freeness of a uniform code reduces to a two-codeword window and
 is decided exactly; circularity is searched up to a total message
 length, which decides it exactly once that length reaches n|C| and
-otherwise rules out short counterexamples only.
+otherwise rules out short counterexamples only.  The search drops each
+message prefix that no cut survives, but its budget still counts the
+messages of the unpruned search.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 # is_nyldon is unused here, but bench/selftest.py checks that tracing rebinds it in this module
@@ -94,10 +96,15 @@ def is_circular_bounded(code: Iterable[Word], n: int, max_total: int | None = No
     cuts 0 < r < n are tested.  They form a closed walk in the graph
     with an edge y -> z whenever y[r:] z[:r] is a codeword; the shortest
     closed walk is a cycle, so no message of more than |C| blocks is
-    tried.  A negative verdict is definitive, and so is a positive one
-    once max_total >= n*|C|; below that it is bounded evidence only.  A
-    search that would try more than CIRCULAR_MESSAGE_BUDGET messages
-    raises ValueError before it starts.
+    tried.  Messages grow one codeword at a time, and a prefix is
+    dropped once every cut has an internal straddle that is not a
+    codeword, since no extension of it can close.  The survivors are
+    visited in the order of the unpruned search (block count, then
+    lexicographic), so the witness is the first hit of that search.  A
+    negative verdict is definitive, and so is a positive one once
+    max_total >= n*|C|; below that it is bounded evidence only.  A
+    search whose unpruned form would try more than
+    CIRCULAR_MESSAGE_BUDGET messages raises ValueError before it starts.
     """
     words = _uniform(code, n)
     if max_total is None:
@@ -109,10 +116,15 @@ def is_circular_bounded(code: Iterable[Word], n: int, max_total: int | None = No
     _refuse_past(CIRCULAR_MESSAGE_BUDGET, accumulate(len(ordered) ** b for b in lengths),
                  f"circular search over {len(ordered)} codewords of length {n} up to {max_total}"
                  " letters", "messages")
+    # each surviving message of the current block count, with the cuts its straddles allow
+    messages = [((x,), range(1, n)) for x in ordered]
     for blocks in lengths:
-        for msg in product(ordered, repeat=blocks):
-            for r in range(1, n):
-                if all(x[r:] + y[:r] in words for x, y in zip(msg, msg[1:] + msg[:1])):
+        if blocks > 1:
+            messages = [(msg + (y,), live) for msg, cuts in messages for y in ordered
+                        if (live := [r for r in cuts if msg[-1][r:] + y[:r] in words])]
+        for msg, cuts in messages:
+            for r in cuts:
+                if msg[-1][r:] + msg[0][:r] in words:
                     w = sum(msg, ())
                     return CodeVerdict(False, (w[:r], w[r:]))
     return CodeVerdict(True)

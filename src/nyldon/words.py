@@ -20,6 +20,9 @@ Word = tuple[int, ...]
 # _check_enumeration_budget; the largest accepted `enumerate` takes about 2 s
 ENUMERATION_BUDGET = 3 * 10 ** 5
 
+# letter a -> ASCII digit a, for formatting words over alphabets of at most 10 letters
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
 
 def is_primitive(w: Word) -> bool:
     """True iff w is nonempty and not u**m for any shorter u and m >= 2.
@@ -140,10 +143,12 @@ class Alphabet(namedtuple("Alphabet", "size")):
         return w
 
     def format(self, w: Word) -> str:
-        """Render a word as text; parse(format(w)) == w."""
+        """Render a word as text; parse(format(w)) == w.  The letters of
+        w must belong to this alphabet: alphabets of size <= 10 map each
+        letter through a table that holds only the digits 0-9."""
         if self.size <= 10:
-            return "".join(str(a) for a in w)
-        return ",".join(str(a) for a in w)
+            return bytes(w).translate(_DIGITS).decode()
+        return ",".join(map(str, w))
 
 
 def format_factorization(alphabet: Alphabet, factors: Sequence[Word]) -> str:

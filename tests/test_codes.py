@@ -3,7 +3,8 @@
 import random
 import subprocess
 import sys
-from itertools import product
+from collections import Counter
+from itertools import islice, product
 
 import pytest
 
@@ -13,10 +14,14 @@ from nyldon import (
     is_circular_bounded,
     is_comma_free_definitional,
     is_comma_free_uniform,
+    is_primitive,
     nyldon_code,
     nyldon_comma_free_classification,
     nyldon_comma_free_table,
+    rotations,
 )
+
+from nyldon.codes import CIRCULAR_MESSAGE_BUDGET
 
 from golden import (
     COMMA_FREE_ALT_TRIPLE_K2_N7,
@@ -157,24 +162,22 @@ def test_circular_search_refuses_past_its_budget():
     assert is_circular_bounded(code(2, 3), 3, 1000).holds
 
 
-def circular_definitional(code, n, max_total):
+def circular_definitional(code, n, max_total, most=1000):
     """The first (u, v) with uv a message of at most max_total letters,
     cut anywhere but at a block boundary, and vu in C*; messages by
     block count then in lexicographic order, cuts left to right.  None
-    when the code is circular up to the bound; "refused" past 1000
-    messages, which keeps this exhaustive search quick."""
+    when the code is circular up to the bound; "refused" once it has
+    tried most messages without a hit, which keeps this exhaustive
+    search quick."""
     words = frozenset(code)
     ordered = sorted(words)
-    lengths = range(1, max_total // n + 1)
-    if sum(len(ordered) ** b for b in lengths) > 1000:
-        return "refused"
-    for b in lengths:
-        for msg in product(ordered, repeat=b):
-            m = sum(msg, ())
-            for c in range(1, len(m)):
-                if c % n and in_code_star(words, n, m[c:] + m[:c]):
-                    return m[:c], m[c:]
-    return None
+    messages = (msg for b in range(1, max_total // n + 1) for msg in product(ordered, repeat=b))
+    for msg in islice(messages, most):
+        m = sum(msg, ())
+        for c in range(1, len(m)):
+            if c % n and in_code_star(words, n, m[c:] + m[:c]):
+                return m[:c], m[c:]
+    return None if next(messages, None) is None else "refused"
 
 
 def test_circular_search_matches_the_definition():
@@ -214,6 +217,41 @@ def test_circular_search_matches_the_definition():
     for max_total in (None, 12):
         assert is_circular_bounded(c, 4, max_total) == (False, witness)
     assert is_circular_bounded(c, 4, 8).holds
+    # 9-12 codewords from distinct primitive conjugacy classes, so no one-block message
+    # closes and most message prefixes die within a block or two; each code hides a
+    # message m whose rotation by r also parses, so some witnesses take three blocks
+    compared = refused = 0
+    blocks = Counter()
+    for _ in range(200):
+        k, n = rng.choice(((4, 3), (5, 3), (3, 4)))
+        while True:
+            m, r = tuple(rng.randrange(k) for _ in range(3 * n)), rng.randrange(1, n)
+            c = {v[i:i + n] for v in (m, rotations(m)[r]) for i in range(0, 3 * n, n)}
+            classes = {min(rotations(x)) for x in c}
+            if len(classes) == 6 and all(map(is_primitive, c)):
+                break
+        others = {min(rotations(x)) for x in product(range(k), repeat=n) if is_primitive(x)} - classes
+        c |= {rotations(x)[rng.randrange(n)] for x in rng.sample(sorted(others), rng.randint(3, 6))}
+        max_total = rng.randint(n, 6 * n)
+        messages = sum(len(c) ** b for b in range(1, min(max_total // n, len(c)) + 1))
+        if messages > CIRCULAR_MESSAGE_BUDGET:
+            with pytest.raises(ValueError, match="needs more than the budget"):
+                is_circular_bounded(c, n, max_total)
+            refused += 1
+            continue
+        # 2000 tries cover every message of up to three blocks, so the reference never refuses
+        expected = circular_definitional(c, n, max_total, most=2000)
+        verdict = is_circular_bounded(c, n, max_total)
+        assert verdict == (expected is None, expected), (c, n, max_total)
+        compared += 1
+        blocks[0 if expected is None else len(expected[0] + expected[1]) // n] += 1
+    assert compared > 120 and refused > 0
+    assert blocks[0] > 0 and blocks[2] > 0 and blocks[3] > 0 and set(blocks) <= {0, 2, 3}
+    # the Nyldon codes the CLI searches at its default bound of 4n letters
+    for k, n in [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 4)]:
+        c = code(k, n)
+        assert circular_definitional(c, n, 4 * n, most=5000) is None
+        assert is_circular_bounded(c, n) == (True, None)
 
 
 def test_circular_bound_validation():

@@ -147,8 +147,12 @@ def test_words_upto_orders_by_length_then_lex():
 
 
 def test_parse_format_round_trip():
-    for alphabet, n in ((A3, 4), (Alphabet(12), 3)):
-        for w in alphabet.words_upto(n):
+    # one digit per letter up to 10 letters, a comma list past them; the
+    # empty word is the empty string either way
+    for k in range(1, 13):
+        alphabet, sep = Alphabet(k), "" if k <= 10 else ","
+        for w in itertools.chain([()], alphabet.words_upto(4 if k <= 10 else 3)):
+            assert alphabet.format(w) == sep.join(map(str, w))
             assert alphabet.parse(alphabet.format(w)) == w
 
 
