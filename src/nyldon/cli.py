@@ -68,7 +68,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> None:
 
 def _cmd_conjugate(args: argparse.Namespace) -> None:
     w, alphabet = _parse_word(args.word)
-    result = melancon_nyldon_conjugate(w)
+    try:
+        result = melancon_nyldon_conjugate(w)
+    except ValueError as exc:  # only a power: _parse_word has refused the empty word
+        raise ValueError(f"{args.word} is not primitive: {exc}") from None
     if args.verify:
         reference = nyldon_conjugate_bruteforce(w)
         if reference != result:

@@ -7,13 +7,12 @@ Comma-freeness of a uniform code reduces to a two-codeword window and
 is decided exactly; circularity is searched up to a total message
 length, which decides it exactly once that length reaches n|C| and
 otherwise rules out short counterexamples only.  The search drops each
-message prefix that no cut survives, but its budget still counts the
-messages of the unpruned search.
+message prefix that no cut survives, and its budget counts the messages
+it tries.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 # is_nyldon is unused here, but bench/selftest.py checks that tracing rebinds it in this module
@@ -102,9 +101,9 @@ def is_circular_bounded(code: Iterable[Word], n: int, max_total: int | None = No
     visited in the order of the unpruned search (block count, then
     lexicographic), so the witness is the first hit of that search.  A
     negative verdict is definitive, and so is a positive one once
-    max_total >= n*|C|; below that it is bounded evidence only.  A
-    search whose unpruned form would try more than
-    CIRCULAR_MESSAGE_BUDGET messages raises ValueError before it starts.
+    max_total >= n*|C|; below that it is bounded evidence only.  A block
+    count whose messages, |C| per survivor of the last, would take the
+    total tried past CIRCULAR_MESSAGE_BUDGET raises ValueError instead.
     """
     words = _uniform(code, n)
     if max_total is None:
@@ -112,13 +111,12 @@ def is_circular_bounded(code: Iterable[Word], n: int, max_total: int | None = No
     if max_total < n:
         raise ValueError(f"a bound of {max_total} letters is below one codeword of length {n}")
     ordered = sorted(words)
-    lengths = range(1, min(max_total // n, len(ordered)) + 1)
-    _refuse_past(CIRCULAR_MESSAGE_BUDGET, accumulate(len(ordered) ** b for b in lengths),
-                 f"circular search over {len(ordered)} codewords of length {n} up to {max_total}"
-                 " letters", "messages")
+    what = f"circular search over {len(ordered)} codewords of length {n} up to {max_total} letters"
     # each surviving message of the current block count, with the cuts its straddles allow
     messages = [((x,), range(1, n)) for x in ordered]
-    for blocks in lengths:
+    tried = len(ordered)
+    for blocks in range(1, min(max_total // n, len(ordered)) + 1):
+        _refuse_past(CIRCULAR_MESSAGE_BUDGET, [tried], what, "messages")
         if blocks > 1:
             messages = [(msg + (y,), live) for msg, cuts in messages for y in ordered
                         if (live := [r for r in cuts if msg[-1][r:] + y[:r] in words])]
@@ -127,6 +125,7 @@ def is_circular_bounded(code: Iterable[Word], n: int, max_total: int | None = No
                 if msg[-1][r:] + msg[0][:r] in words:
                     w = sum(msg, ())
                     return CodeVerdict(False, (w[:r], w[r:]))
+        tried += len(messages) * len(ordered)
     return CodeVerdict(True)
 
 

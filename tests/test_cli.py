@@ -75,10 +75,12 @@ def test_conjugate_verify_reports_a_disagreement(capsys, monkeypatch):
 
 
 def test_conjugate_rejects_powers(capsys):
-    code, out, err = run(capsys, "conjugate", "0101")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:")
+    # the error names the word as typed, in either notation
+    for text in ("0101", "010101", "0,0", "2,10,2,10"):
+        for verify in ((), ("--verify",)):
+            assert run(capsys, "conjugate", text, *verify) == (
+                1, "", f"error: {text} is not primitive: only primitive words have a Nyldon conjugate\n",
+            )
 
 
 def test_count(capsys):
@@ -259,6 +261,12 @@ def test_codes_circular(capsys):
     assert (code, out) == (
         0, "circular (bounded search, messages up to 1000 letters): yes\n",
     )
+    # 18 and 56 codewords: the unpruned search would try 111,150 and about
+    # 8 * 10^97 messages, the pruned one 936 and 41,160
+    for argv, bound in ((["-n", "7"], 28), (["-n", "9", "--bound", "504"], 504)):
+        assert run(capsys, "codes", "circular", "-k", "2", *argv) == (
+            0, f"circular (bounded search, messages up to {bound} letters): yes\n", "",
+        )
     # the binary code of length 2 is {01}, so n*|C| = 2 letters is exact
     code, out, err = run(
         capsys, "codes", "circular", "-k", "2", "-n", "2", "--bound", "2"
@@ -374,15 +382,15 @@ def test_importing_the_cli_leaves_json_unloaded(tmp_path, checkout_env):
 
 
 def test_codes_circular_refuses_work_past_its_budget(tmp_path, checkout_env):
-    # 48 codewords over four blocks would be 5.4 million messages; the
-    # search must refuse before it starts, not run for minutes
+    # 99 codewords: the 1,776 two-block survivors would take the three-block
+    # messages past the budget; the search must refuse them, not run on
     proc = subprocess.run(
-        [sys.executable, "-m", "nyldon.cli", "codes", "circular", "-k", "3", "-n", "5"],
+        [sys.executable, "-m", "nyldon.cli", "codes", "circular", "-k", "2", "-n", "10"],
         capture_output=True, text=True, env=checkout_env(), cwd=tmp_path, timeout=10,
     )
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("error:")
-    assert "48 codewords" in proc.stderr and "100000" in proc.stderr
+    assert "99 codewords" in proc.stderr and "100000" in proc.stderr
 
 
 @pytest.mark.parametrize("argv, names", [
@@ -493,7 +501,7 @@ def test_readme_examples_print_what_the_readme_shows(capsys):
         for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
         for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]
     ]
-    assert len(examples) == 11
+    assert len(examples) == 12
     for command, expected in examples:
         program, *argv = shlex.split(command)
         assert program == "nyldon", command

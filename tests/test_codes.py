@@ -100,6 +100,17 @@ def test_table_matches_the_classification():
         assert holds == nyldon_comma_free_classification(k, n)
 
 
+def test_nyldon_codes_are_circular_at_the_exact_bound():
+    # messages of n*|C| letters decide circularity exactly
+    verdicts = {}
+    for k, n_max in ((2, 9), (3, 5), (4, 4), (5, 3)):
+        for n in range(1, n_max + 1):
+            c = code(k, n)
+            verdicts[k, n] = is_circular_bounded(c, n, n * len(c))
+    assert len(verdicts) == 21
+    assert set(verdicts.values()) == {(True, None)}
+
+
 def test_table_disagreement_raises_under_optimization(tmp_path, checkout_env):
     # python -O strips bare asserts; the table's check must survive it
     child = (
@@ -151,10 +162,21 @@ def test_comma_free_codes_here_are_circular():
 
 
 def test_circular_search_refuses_past_its_budget():
-    # 18 codewords in up to four blocks: 111,150 messages, past the budget
-    with pytest.raises(ValueError, match="18 codewords of length 4 up to 16 letters"):
-        is_circular_bounded(code(3, 4), 4)
-    # 8 codewords in up to four blocks: 4,680 messages, inside it
+    # 18 codewords: 27 of the 324 two-block messages survive and none of
+    # their extensions, so 828 messages decide it at the default bound
+    assert is_circular_bounded(code(3, 4), 4).holds
+    # 99 codewords: 1,776 two-block survivors would take three blocks to
+    # 185,724 messages, past the budget
+    with pytest.raises(ValueError, match="99 codewords of length 10 up to 40 letters needs more"
+                       " than the budget of 100000 messages"):
+        is_circular_bounded(code(2, 10), 10)
+    # each other refusal left is one the unpruned search, trying all sum |C|^b
+    # messages of up to four blocks at the default bound, made too
+    for k, n in ((2, 11), (3, 6), (3, 7), (4, 5), (5, 4), (6, 3), (20, 2)):
+        c = code(k, n)
+        with pytest.raises(ValueError, match=f"{len(c)} codewords .* budget of 100000 messages"):
+            is_circular_bounded(c, n)
+        assert sum(len(c) ** b for b in range(1, 5)) > CIRCULAR_MESSAGE_BUDGET
     assert is_circular_bounded(code(3, 3), 3).holds
     # the empty code parses only the empty message, at any bound
     assert is_circular_bounded(set(), 2, 10 ** 9).holds
@@ -220,7 +242,7 @@ def test_circular_search_matches_the_definition():
     # 9-12 codewords from distinct primitive conjugacy classes, so no one-block message
     # closes and most message prefixes die within a block or two; each code hides a
     # message m whose rotation by r also parses, so some witnesses take three blocks
-    compared = refused = 0
+    compared = past_the_unpruned_budget = 0
     blocks = Counter()
     for _ in range(200):
         k, n = rng.choice(((4, 3), (5, 3), (3, 4)))
@@ -233,19 +255,17 @@ def test_circular_search_matches_the_definition():
         others = {min(rotations(x)) for x in product(range(k), repeat=n) if is_primitive(x)} - classes
         c |= {rotations(x)[rng.randrange(n)] for x in rng.sample(sorted(others), rng.randint(3, 6))}
         max_total = rng.randint(n, 6 * n)
-        messages = sum(len(c) ** b for b in range(1, min(max_total // n, len(c)) + 1))
-        if messages > CIRCULAR_MESSAGE_BUDGET:
-            with pytest.raises(ValueError, match="needs more than the budget"):
-                is_circular_bounded(c, n, max_total)
-            refused += 1
-            continue
-        # 2000 tries cover every message of up to three blocks, so the reference never refuses
+        # 2000 tries cover every message of up to three blocks, where the hidden
+        # witness lies, so the reference never gives up; the search, charged at
+        # most those 1,884 messages, never refuses
         expected = circular_definitional(c, n, max_total, most=2000)
         verdict = is_circular_bounded(c, n, max_total)
         assert verdict == (expected is None, expected), (c, n, max_total)
         compared += 1
+        messages = sum(len(c) ** b for b in range(1, min(max_total // n, len(c)) + 1))
+        past_the_unpruned_budget += messages > CIRCULAR_MESSAGE_BUDGET
         blocks[0 if expected is None else len(expected[0] + expected[1]) // n] += 1
-    assert compared > 120 and refused > 0
+    assert compared == 200 and past_the_unpruned_budget > 0
     assert blocks[0] > 0 and blocks[2] > 0 and blocks[3] > 0 and set(blocks) <= {0, 2, 3}
     # the Nyldon codes the CLI searches at its default bound of 4n letters
     for k, n in [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 4)]:
