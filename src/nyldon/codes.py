@@ -137,10 +137,10 @@ def nyldon_code(alphabet: Alphabet, n: int) -> frozenset[Word]:
 
 def nyldon_comma_free_classification(k: int, n: int) -> bool:
     """Closed form for when the length-n Nyldon words over k letters are
-    comma-free: always at length 1; at length 2 only for two or three
-    letters; at lengths 3 through 6 only for two letters; never past
-    length 6."""
-    return n == 1 or (n == 2 and k in (2, 3)) or (k == 2 and 3 <= n <= 6)
+    comma-free: always at length 1, or over one letter (only 0 is Nyldon,
+    so longer codes are empty); at length 2 only for two or three letters;
+    at lengths 3 through 6 only for two letters; never past length 6."""
+    return n == 1 or k == 1 or (n == 2 and k in (2, 3)) or (k == 2 and 3 <= n <= 6)
 
 
 def nyldon_comma_free_table(k_max: int, n_max: int) -> dict[tuple[int, int], bool]:

@@ -20,22 +20,19 @@ working sets are prefix-free, and on a prefix-free set the maximum is
 the minimum under the letter-reversed order: hence the left/max row.
 
 Summary lines come from the generators; lazard_run serves traces, and
-LAZARD_BUDGET bounds their cost, steps x recorded working set.
+LAZARD_BUDGET bounds the words they record, summed over the working sets.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import NamedTuple
 
 from .factorization import _nyldon_by_length
-from .words import Alphabet, Word, _enumeration_sizes, _refuse_past
+from .words import Alphabet, Word, _refuse_past
 
-# the most snapshot words a run may record: an extremal run takes one step per
-# Lyndon or Nyldon word, and each working set lies in the universe of words of
-# length <= n, so it records at most family size x universe words; the largest
-# accepted `lazard --trace` takes about 2 s
-LAZARD_BUDGET = 65 * 10 ** 5
+# the most snapshot words a run may record, summed over its working sets; a run
+# at n = 1 records k(k+1)/2, so `lazard --trace -k 2549 -n 1` (3,249,975) runs
+LAZARD_BUDGET = 325 * 10 ** 4
 
 
 class LazardStep(NamedTuple):
@@ -56,12 +53,7 @@ class LazardTrace(NamedTuple):
         return tuple(step.chosen for step in self.steps)
 
 
-def lazard_run(
-    side: str,
-    selector: str,
-    alphabet: Alphabet,
-    max_len: int,
-) -> LazardTrace:
+def lazard_run(side: str, selector: str, alphabet: Alphabet, max_len: int) -> LazardTrace:
     """Run the elimination until the working set is a singleton and
     return the full trace.
 
@@ -75,8 +67,9 @@ def lazard_run(
     eliminated words u_1, ..., u_t and the final working set Y_t satisfy
     prod_s 1/(1 - x^|u_s|) * 1/(1 - Y_t(x)) = 1/(1 - kx) mod x^(n+1),
     whatever word each step picks: at most k^l eliminated words have
-    length l, and none is eliminated twice.  A run with max_len < 1 or
-    past LAZARD_BUDGET raises ValueError before it starts.
+    length l, and none is eliminated twice.  ValueError is raised for
+    max_len < 1, and for a run that would record more than
+    LAZARD_BUDGET snapshot words, before it builds a set past the budget.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
@@ -87,10 +80,14 @@ def lazard_run(
     what = f"an elimination with k={k} letters up to length n={max_len}"
     if max_len < 1:
         raise ValueError(f"{what} needs n >= 1")
-    universes = accumulate(k ** i for i in range(1, max_len + 1))
-    families = accumulate(_enumeration_sizes(k, max_len))
-    _refuse_past(LAZARD_BUDGET, (u * f for u, f in zip(universes, families)), what, "snapshot words")
-
+    # counts[l] is the number of length-l words in the working set.  The next
+    # set is a code of the y u^j (u^j y on the left), y != u, of length <= n, and
+    # keeps each y, so a set of m words leaves at least m - 1, ..., 1 more to
+    # record: a run stops once that bound passes the budget.  The letters and
+    # the second set, (k - 1) n words a b^j, are checked before counts grows
+    counts = [0, k]
+    recorded = k
+    _refuse_past(LAZARD_BUDGET, [max(k * (k + 1) // 2, k + (k - 1) * max_len)], what, "snapshot words")
     pool: set[Word] = {(a,) for a in alphabet.letters()}
     steps: list[LazardStep] = []
     while True:
@@ -98,10 +95,17 @@ def lazard_run(
         steps.append(LazardStep(tuple(pool), chosen))
         if len(pool) == 1:
             break
+        pool.remove(chosen)
+        u = len(chosen)
+        counts[u] -= 1
+        counts += [0] * (max_len + 1 - len(counts))
+        for m in range(u, max_len + 1):
+            counts[m] += counts[m - u]
+        size = sum(counts)
+        recorded += size
+        _refuse_past(LAZARD_BUDGET, [recorded + size * (size - 1) // 2], what, "snapshot words")
         rewritten: set[Word] = set()
         for y in pool:
-            if y == chosen:
-                continue
             prod = y
             while len(prod) <= max_len:
                 rewritten.add(prod)

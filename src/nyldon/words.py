@@ -83,22 +83,17 @@ def _refuse_past(budget: int, totals: Iterable[int], what: str, unit: str = "wor
         raise ValueError(f"{what} needs more than the budget of {budget} {unit}")
 
 
-def _enumeration_sizes(k: int, max_len: int) -> Iterator[int]:
-    """max(d, ceil(k**d / d)) for d = 1..max_len.  Length d holds at most
-    k**d/d Lyndon or Nyldon words (their number is the aperiodic
-    necklace count), and building it costs at least its d - 1 splits."""
-    return (max(d, -(-k ** d // d)) for d in range(1, max_len + 1))
-
-
 def _check_enumeration_budget(family: str, alphabet: Alphabet, max_len: int) -> None:
-    """Refuse an enumeration of the family's words of length <= max_len
-    when max_len < 1 or its _enumeration_sizes sum past
-    ENUMERATION_BUDGET."""
+    """Refuse enumerating the family's words of length <= max_len when
+    max_len < 1 or when max(d, ceil(k**d / d)), summed over d <= max_len,
+    passes ENUMERATION_BUDGET.  Length d holds at most k**d/d of them (the
+    aperiodic necklace count), and building it costs at least d - 1 splits."""
     k = alphabet.size
     what = f"enumerating {family} words with k={k} letters up to length n={max_len}"
     if max_len < 1:
         raise ValueError(f"{what} needs n >= 1")
-    _refuse_past(ENUMERATION_BUDGET, itertools.accumulate(_enumeration_sizes(k, max_len)), what)
+    sizes = (max(d, -(-k ** d // d)) for d in range(1, max_len + 1))
+    _refuse_past(ENUMERATION_BUDGET, itertools.accumulate(sizes), what)
 
 
 class Alphabet(namedtuple("Alphabet", "size")):

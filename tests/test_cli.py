@@ -140,6 +140,15 @@ def test_lazard_trace_sorts_each_working_set(capsys):
         assert working_set == sorted(working_set)
 
 
+def test_lazard_trace_of_one_letter_takes_one_step(capsys):
+    # the one working set, {0}, is charged one word at any length
+    code, out, err = run(
+        capsys, "lazard", "--side", "left", "--select", "min", "-k", "1",
+        "-n", "1000000", "--trace",
+    )
+    assert (code, out, err) == (0, "1 | 0 | 0\n", "")
+
+
 def test_lazard_under_reversed_order(capsys):
     code, out, err = run(
         capsys, "lazard", "--side", "right", "--select", "max", "-k", "2",
@@ -404,7 +413,7 @@ def test_codes_circular_refuses_work_past_its_budget(tmp_path, checkout_env):
     (["lazard", "--side", "right", "--select", "max", "-k", "2", "-n", "30"],
      ("k=2", "n=30", "300000 words")),
     (["lazard", "--side", "right", "--select", "max", "-k", "2", "-n", "30", "--trace"],
-     ("k=2", "n=30", "6500000 snapshot words")),
+     ("k=2", "n=30", "3250000 snapshot words")),
     (["powers", "10", "--max-exp", "1000000000"], ("|w|=2", "w^1000000000", "1500000 letters")),
     # --perm reverse relabels each letter by arithmetic, so nothing of size k is built
     (["lazard", "--side", "right", "--select", "min", "-k", "1000000000", "-n", "2", "--perm",
@@ -429,15 +438,16 @@ def test_size_commands_refuse_work_past_their_budgets(tmp_path, checkout_env, ar
     ("left", "max", "lyndon"),
 ])
 def test_lazard_summary_lines_run_past_the_snapshot_budget(tmp_path, checkout_env, side, select, family):
-    # binary n=13 is past lazard_run's budget, but the summary line
-    # only enumerates the 1377 Nyldon or Lyndon words
+    # binary n=15 is past lazard_run's budget for right/min (left/max
+    # traces run to n=21), but each summary line only enumerates the
+    # 4720 Nyldon or Lyndon words
     proc = subprocess.run(
         [sys.executable, "-m", "nyldon.cli", "lazard", "--side", side, "--select", select,
-         "-k", "2", "-n", "13"],
+         "-k", "2", "-n", "15"],
         capture_output=True, text=True, env=checkout_env(), cwd=tmp_path, timeout=10,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert len(proc.stdout.split()) == sum(count_by_length(family, Alphabet(2), 13))
+    assert len(proc.stdout.split()) == sum(count_by_length(family, Alphabet(2), 15))
 
 
 def test_a_stdout_closed_early_ends_the_cli_quietly(tmp_path, checkout_env):
@@ -506,3 +516,19 @@ def test_readme_examples_print_what_the_readme_shows(capsys):
         program, *argv = shlex.split(command)
         assert program == "nyldon", command
         assert run(capsys, *argv) == (0, expected, ""), command
+
+
+def test_readme_budget_list_names_every_budget():
+    # the bullet list under README's CLI section states each budget, comma-grouped
+    from nyldon.cli import POWERS_BUDGET
+    from nyldon.codes import CIRCULAR_MESSAGE_BUDGET
+    from nyldon.lazard import LAZARD_BUDGET
+    from nyldon.oracle import BIJECTION_BUDGET
+    from nyldon.words import ENUMERATION_BUDGET
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    cli_section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    bullets = "".join(re.findall(r"^(?:- |  ).*\n", cli_section, re.M))
+    for budget in (ENUMERATION_BUDGET, BIJECTION_BUDGET, LAZARD_BUDGET,
+                   CIRCULAR_MESSAGE_BUDGET, POWERS_BUDGET):
+        assert f"{budget:,}" in bullets, budget

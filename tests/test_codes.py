@@ -91,6 +91,10 @@ def test_classification_rule():
     assert nyldon_comma_free_classification(2, 6)
     assert not nyldon_comma_free_classification(2, 7)
     assert not nyldon_comma_free_classification(3, 3)
+    # over one letter every code past length 1 is empty, hence comma-free
+    for n in range(1, 7):
+        assert nyldon_comma_free_classification(1, n)
+        assert is_comma_free_uniform(code(1, n), n).holds, n
 
 
 def test_table_matches_the_classification():

@@ -92,9 +92,12 @@ def test_generators_refuse_length_bounds_below_one(family, call, n):
     lambda: nyldon_code(A2, 30),
     lambda: counting_bijection(A2, 17),
     lambda: counting_bijection(A2, 10 ** 9),
-    lambda: lazard_run("right", "min", A2, 13),
-    lambda: lazard_run("right", "min", Alphabet(60), 2),
-    lambda: lazard_run("left", "min", Alphabet(1), 10 ** 9),
+    # lazard_run charges each working set before it builds it, so these three
+    # fail on their first two sets: 10^9 words 1 0^j, 10^9 letters, and
+    # k(k+1)/2 > 3,250,000 words for a run that loses one letter a step
+    lambda: lazard_run("right", "min", A2, 10 ** 9),
+    lambda: lazard_run("right", "min", Alphabet(10 ** 9), 2),
+    lambda: lazard_run("left", "min", Alphabet(2550), 1),
 ])
 def test_exponential_work_is_refused_before_it_starts(call):
     with pytest.raises(ValueError, match="needs more than the budget of"):

@@ -7,6 +7,8 @@ relabeled() and checked against the permuted order directly."""
 
 import bisect
 import heapq
+import operator
+import time
 
 import pytest
 
@@ -19,10 +21,12 @@ from nyldon import (
     enumerate_nyldon,
     lazard_run,
     lazard_stepcount_nyldon,
+    lyndon_factorize,
     necklace_count,
     reverse_permutation,
 )
 from nyldon.factorization import _nyldon_by_length
+from nyldon.lazard import LAZARD_BUDGET
 from nyldon.words import ENUMERATION_BUDGET
 
 from golden import (
@@ -80,8 +84,8 @@ def test_quadrant_identities():
     # left/min and right/max drain the Lyndon words (ascending and
     # descending), left/min relabeled by letter reversal is left/max, and
     # right/min drains the Nyldon words ascending.  The `lazard` summary
-    # lines print these identities, so each is checked at every size
-    # LAZARD_BUDGET accepts for k <= 4, up to a top one below its refusal
+    # lines print these identities, so each is checked for k <= 4 up to
+    # a top size that runs in about a second
     for k, top in ((1, 234), (2, 12), (3, 7), (4, 6)):
         a = Alphabet(k)
         perm = reverse_permutation(k)
@@ -95,9 +99,58 @@ def test_quadrant_identities():
             }
             for (side, select), eliminated in expected.items():
                 assert lazard_run(side, select, a, n).eliminated == eliminated, (side, select, k, n)
-        for side, select in expected:
-            with pytest.raises(ValueError, match="snapshot words"):
-                lazard_run(side, select, a, top + 1)
+
+
+def test_the_budget_charges_the_words_a_run_records(monkeypatch):
+    # each working set is charged at its exact size before it is built, so
+    # a budget of the run's own total answers and one word less refuses it
+    total = sum(len(step.snapshot) for step in lazard_run("right", "min", A2, 6).steps)
+    monkeypatch.setattr("nyldon.lazard.LAZARD_BUDGET", total)
+    assert lazard_run("right", "min", A2, 6).eliminated == tuple(sorted(enumerate_nyldon(A2, 6)))
+    monkeypatch.setattr("nyldon.lazard.LAZARD_BUDGET", total - 1)
+    with pytest.raises(ValueError, match=f"k=2 letters up to length n=6 .* {total - 1} snapshot words"):
+        lazard_run("right", "min", A2, 6)
+
+
+def test_huge_runs_are_refused_before_a_large_working_set_is_built():
+    # k is charged before the letters are built, and the 10^9 words 1 0^j
+    # of binary n = 10^9 before its second working set is
+    for a, n in ((A2, 10 ** 9), (Alphabet(10 ** 9), 2)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"k={a.size} .* n={n} .* {LAZARD_BUDGET} snapshot"):
+            lazard_run("right", "min", a, n)
+        assert time.perf_counter() - start < 1, (a, n)
+
+
+# alphabet sizes and the longest words whose working sets are checked in full
+HALL_RANGES = ((1, 12), (2, 12), (3, 7), (4, 5))
+
+
+def test_every_working_set_is_its_hall_closed_form():
+    # the paper's theorem, step by step: with h the word a step eliminates,
+    # its working set is the family's words from h on, in elimination
+    # order, that are letters or whose recorded part lies beyond h.  That
+    # part is right(v) for right/min, the longest proper Lyndon suffix for
+    # right/max and the longest proper Lyndon prefix for left/min
+    for k, top in HALL_RANGES:
+        a = Alphabet(k)
+        for n in range(1, top + 1):
+            lyndon = enumerate_lyndon(a, n)
+            runs = {
+                ("right", "min", operator.lt):
+                    {v: part for group in _nyldon_by_length(a, n) for v, part in group.items()},
+                ("right", "max", operator.gt):
+                    {v: lyndon_factorize(v[1:])[-1] if len(v) > 1 else None for v in lyndon},
+                ("left", "min", operator.lt):
+                    {v: lyndon_factorize(v[:-1])[0] if len(v) > 1 else None for v in lyndon},
+            }
+            for (side, select, beyond), parts in runs.items():
+                order = sorted(parts, reverse=select == "max")
+                trace = lazard_run(side, select, a, n)
+                assert trace.eliminated == tuple(order), (side, select, k, n)
+                for s, (step, h) in enumerate(zip(trace.steps, order)):
+                    expected = {v for v in order[s:] if parts[v] is None or beyond(parts[v], h)}
+                    assert set(step.snapshot) == expected, (side, select, k, n, h)
 
 
 def lazy_right_min_run(alphabet, max_len):
