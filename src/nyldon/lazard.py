@@ -4,23 +4,21 @@ A run starts from the alphabet and repeatedly removes one word u from
 the working set Y, replacing Y by u*(Y - {u}) on the left side or by
 (Y - {u})u* on the right side, truncated to words of length <= n
 throughout (the untruncated sets are infinite, and only the bounded
-part is ever inspected).  The four extremal selectors sweep out
-classical families of the bounded universe:
+part is ever inspected).  The four extremal selectors drain Hall sets:
+a word enters the working set right after its part is eliminated.
 
-    left  / min   the Lyndon words, in increasing order
+    left  / min   the Lyndon words, increasing; part: longest proper Lyndon prefix
     left  / max   the left/min run, relabeled by letter reversal
-    right / min   the Nyldon words, in increasing order
-    right / max   the Lyndon words, in decreasing order
+    right / min   the Nyldon words, increasing; part: standard right factor
+    right / max   the Lyndon words, decreasing; part: longest proper Lyndon suffix
 
-Relabeling letters through a permutation pi carries lexicographic order
-onto the order ranking pi(0) below pi(1) below pi(2) and so on, and it
-commutes with the rewriting, so the run selecting under that order is
-the plain run relabeled letter by letter (apply_permutation).  Left
-working sets are prefix-free, and on a prefix-free set the maximum is
-the minimum under the letter-reversed order: hence the left/max row.
+Relabeling letters through a permutation carries lexicographic order
+onto the permuted order and commutes with the rewriting, so the run
+under that order is the plain run relabeled (apply_permutation).  Left
+working sets are prefix-free, and there the maximum is the minimum
+under the letter-reversed order: hence the left/max row.
 
-Summary lines come from the generators; lazard_run serves traces, and
-LAZARD_BUDGET bounds the words they record, summed over the working sets.
+Summary lines come from the generators; lazard_run serves traces.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .factorization import _nyldon_by_length
+from .lyndon import enumerate_lyndon, lyndon_factorize
 from .words import Alphabet, Word, _refuse_past
 
 # the most snapshot words a run may record, summed over its working sets; a run
@@ -59,58 +58,58 @@ def lazard_run(side: str, selector: str, alphabet: Alphabet, max_len: int) -> La
 
     side is "left" or "right"; selector is "min" or "max" in
     lexicographic order.  Each snapshot is the working set as an
-    unordered tuple (sort it to print it); the final step records the
-    singleton and chooses its element.
-
-    Every run ends.  Y* = u*((Y - u)u*)* on the right side and
-    Y* = (u*(Y - u))*u* on the left are unique factorizations, so the
-    eliminated words u_1, ..., u_t and the final working set Y_t satisfy
-    prod_s 1/(1 - x^|u_s|) * 1/(1 - Y_t(x)) = 1/(1 - kx) mod x^(n+1),
-    whatever word each step picks: at most k^l eliminated words have
-    length l, and none is eliminated twice.  ValueError is raised for
-    max_len < 1, and for a run that would record more than
-    LAZARD_BUDGET snapshot words, before it builds a set past the budget.
+    unordered tuple (sort it to print it).  The run is read off the
+    module docstring's table: the first working set is the letters, and
+    each step removes its word h and adds the words whose part is h.  So
+    every run ends, after one step per family word, by choosing the last
+    of them alone; the tests check each set against the rewriting of the
+    one before.  ValueError is raised for max_len < 1, and for a run that
+    would record more than LAZARD_BUDGET snapshot words, before any
+    working set is built.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
     if selector not in ("min", "max"):
         raise ValueError(f"selector must be 'min' or 'max', not {selector!r}")
-    pick = min if selector == "min" else max
     k = alphabet.size
     what = f"an elimination with k={k} letters up to length n={max_len}"
     if max_len < 1:
         raise ValueError(f"{what} needs n >= 1")
-    # counts[l] is the number of length-l words in the working set.  The next
-    # set is a code of the y u^j (u^j y on the left), y != u, of length <= n, and
-    # keeps each y, so a set of m words leaves at least m - 1, ..., 1 more to
-    # record: a run stops once that bound passes the budget.  The letters and
-    # the second set, (k - 1) n words a b^j, are checked before counts grows
-    counts = [0, k]
-    recorded = k
-    _refuse_past(LAZARD_BUDGET, [max(k * (k + 1) // 2, k + (k - 1) * max_len)], what, "snapshot words")
-    pool: set[Word] = {(a,) for a in alphabet.letters()}
+    if k == 1:  # the letter 0 is the only Lyndon or Nyldon word over one letter
+        max_len = 1
+    if side == "left":
+        # Lyndon v is Duval's successor of the word u before it, so v[:-1] is a prefix of
+        # uuu...: its longest Lyndon prefix is u past |u| letters, else that of a prefix of u.
+        # owner[i]: the step choosing the longest Lyndon prefix of the last word's first i letters
+        order = sorted(enumerate_lyndon(alphabet, max_len))
+        owner, births = [0], []
+        for j, v in enumerate(order, 1):
+            del owner[len(v):]
+            owner += [j - 1] * (len(v) - len(owner))
+            births.append(owner[-1])
+            owner.append(j)
+        if selector == "max":
+            order = [tuple(map((k - 1).__sub__, v)) for v in order]
+    else:
+        if selector == "min":
+            parts = {v: part for group in _nyldon_by_length(alphabet, max_len) for v, part in group.items()}
+        else:
+            lyndon = enumerate_lyndon(alphabet, max_len)
+            parts = {v: lyndon_factorize(v[1:])[-1] if len(v) > 1 else None for v in lyndon}
+        order = sorted(parts, reverse=selector == "max")
+        rank = {None: 0} | {v: j for j, v in enumerate(order, 1)}
+        births = [rank[parts[v]] for v in order]
+    # the word chosen at step j enters after step q = births[j - 1] and lies in j - q working sets
+    _refuse_past(LAZARD_BUDGET, [sum(j - q for j, q in enumerate(births, 1))], what, "snapshot words")
+    born: list[list[Word]] = [[] for _ in range(len(order) + 1)]
+    for v, q in zip(order, births):
+        born[q].append(v)
+    pool = set(born[0])
     steps: list[LazardStep] = []
-    while True:
-        chosen = pick(pool)
+    for chosen, children in zip(order, born[1:]):
         steps.append(LazardStep(tuple(pool), chosen))
-        if len(pool) == 1:
-            break
         pool.remove(chosen)
-        u = len(chosen)
-        counts[u] -= 1
-        counts += [0] * (max_len + 1 - len(counts))
-        for m in range(u, max_len + 1):
-            counts[m] += counts[m - u]
-        size = sum(counts)
-        recorded += size
-        _refuse_past(LAZARD_BUDGET, [recorded + size * (size - 1) // 2], what, "snapshot words")
-        rewritten: set[Word] = set()
-        for y in pool:
-            prod = y
-            while len(prod) <= max_len:
-                rewritten.add(prod)
-                prod = prod + chosen if side == "right" else chosen + prod
-        pool = rewritten
+        pool.update(children)
     return LazardTrace(tuple(steps))
 
 

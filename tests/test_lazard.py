@@ -101,25 +101,51 @@ def test_quadrant_identities():
                 assert lazard_run(side, select, a, n).eliminated == eliminated, (side, select, k, n)
 
 
+RUNS = tuple((side, select) for side in ("left", "right") for select in ("min", "max"))
+
+
 def test_the_budget_charges_the_words_a_run_records(monkeypatch):
-    # each working set is charged at its exact size before it is built, so
-    # a budget of the run's own total answers and one word less refuses it
-    total = sum(len(step.snapshot) for step in lazard_run("right", "min", A2, 6).steps)
-    monkeypatch.setattr("nyldon.lazard.LAZARD_BUDGET", total)
-    assert lazard_run("right", "min", A2, 6).eliminated == tuple(sorted(enumerate_nyldon(A2, 6)))
-    monkeypatch.setattr("nyldon.lazard.LAZARD_BUDGET", total - 1)
-    with pytest.raises(ValueError, match=f"k=2 letters up to length n=6 .* {total - 1} snapshot words"):
-        lazard_run("right", "min", A2, 6)
+    # the whole run is charged before its first working set is built, so a
+    # budget of the run's own total answers and one word less refuses it
+    traces = {(side, select): lazard_run(side, select, A2, 6) for side, select in RUNS}
+    for (side, select), trace in traces.items():
+        total = sum(len(step.snapshot) for step in trace.steps)
+        monkeypatch.setattr("nyldon.lazard.LAZARD_BUDGET", total)
+        assert lazard_run(side, select, A2, 6) == trace
+        monkeypatch.setattr("nyldon.lazard.LAZARD_BUDGET", total - 1)
+        with pytest.raises(ValueError, match=f"k=2 letters up to length n=6 .* {total - 1} snapshot words"):
+            lazard_run(side, select, A2, 6)
 
 
 def test_huge_runs_are_refused_before_a_large_working_set_is_built():
-    # k is charged before the letters are built, and the 10^9 words 1 0^j
-    # of binary n = 10^9 before its second working set is
+    # a run enumerates its family first, so the enumeration budget refuses
+    # a huge k or n at once, and names both
     for a, n in ((A2, 10 ** 9), (Alphabet(10 ** 9), 2)):
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match=f"k={a.size} .* n={n} .* {LAZARD_BUDGET} snapshot"):
-            lazard_run("right", "min", a, n)
-        assert time.perf_counter() - start < 1, (a, n)
+        for side, select in RUNS:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"k={a.size} .* n={n} .* {ENUMERATION_BUDGET} words"):
+                lazard_run(side, select, a, n)
+            assert time.perf_counter() - start < 1, (a, n, side, select)
+
+
+@pytest.mark.parametrize("side, select, k, n", [
+    ("left", "max", 2, 22),
+    ("left", "max", 4, 11),
+    ("left", "min", 3, 40),
+    ("right", "max", 2, 16),
+])
+def test_runs_past_a_budget_are_refused_before_any_working_set(side, select, k, n):
+    # each of these recorded working sets for one to three seconds before
+    # the whole run was charged up front
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"k={k} .* n={n} "):
+        lazard_run(side, select, Alphabet(k), n)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_one_letter_runs_take_one_step_at_every_length():
+    for side, select in RUNS:
+        assert lazard_run(side, select, Alphabet(1), 10 ** 6).steps == (LazardStep(((0,),), (0,)),)
 
 
 # alphabet sizes and the longest words whose working sets are checked in full
@@ -151,6 +177,31 @@ def test_every_working_set_is_its_hall_closed_form():
                 for s, (step, h) in enumerate(zip(trace.steps, order)):
                     expected = {v for v in order[s:] if parts[v] is None or beyond(parts[v], h)}
                     assert set(step.snapshot) == expected, (side, select, k, n, h)
+
+
+def test_every_working_set_is_the_rewriting_of_the_last():
+    # the elimination by its definition, against every step lazard_run
+    # records: the letters first; each step chooses the min (or max) u of
+    # its set Y, and the next set is {y u^j (u^j y on the left) : y in
+    # Y - {u}, j >= 0} cut to length n; the last set is one word
+    for k, top in HALL_RANGES:
+        a = Alphabet(k)
+        for n in range(1, top + 1):
+            for side, select in RUNS:
+                pick = min if select == "min" else max
+                steps = lazard_run(side, select, a, n).steps
+                assert set(steps[0].snapshot) == {(x,) for x in a.letters()}
+                for step in steps:
+                    assert len(set(step.snapshot)) == len(step.snapshot)
+                    assert step.chosen == pick(step.snapshot), (side, select, k, n)
+                for step, after in zip(steps, steps[1:]):
+                    u, expected = step.chosen, set()
+                    for y in set(step.snapshot) - {u}:
+                        while len(y) <= n:
+                            expected.add(y)
+                            y = y + u if side == "right" else u + y
+                    assert set(after.snapshot) == expected, (side, select, k, n, u)
+                assert len(steps[-1].snapshot) == 1, (side, select, k, n)
 
 
 def lazy_right_min_run(alphabet, max_len):
