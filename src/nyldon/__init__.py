@@ -24,6 +24,7 @@ from .conjugacy import (
 from .lazard import (
     LazardStep,
     LazardTrace,
+    lazard_eliminated,
     lazard_run,
     lazard_stepcount_nyldon,
 )

@@ -19,7 +19,7 @@ import sys
 from .codes import is_circular_bounded, is_comma_free_uniform, nyldon_code
 from .conjugacy import melancon_nyldon_conjugate, nyldon_conjugate_bruteforce
 from .factorization import enumerate_nyldon, is_nyldon, nyldon_factorize
-from .lazard import lazard_run
+from .lazard import lazard_eliminated, lazard_run
 from .lyndon import enumerate_lyndon, is_lyndon, lyndon_factorize
 from .oracle import count_by_length, counting_bijection, necklace_count
 from .words import Alphabet, Word, _read_letters, _refuse_past, format_factorization
@@ -95,19 +95,14 @@ def _cmd_count(args: argparse.Namespace) -> None:
 
 def _cmd_lazard(args: argparse.Namespace) -> None:
     alphabet = Alphabet(args.k)
-    side, select, reverse = args.side, args.select, args.perm == "reverse"
-    if (side, select) == ("left", "max"):
-        # left working sets are prefix-free, so left/max is left/min relabeled
-        select, reverse = "min", not reverse
     # the reversed-order run is the plain run with each letter a read as k-1-a
-    relabel = (lambda w: tuple(map((args.k - 1).__sub__, w))) if reverse else (lambda w: w)
+    relabel = (lambda w: tuple(map((args.k - 1).__sub__, w))) if args.perm == "reverse" else (lambda w: w)
     if args.trace:
-        for i, step in enumerate(lazard_run(side, select, alphabet, args.n).steps, 1):
+        for i, step in enumerate(lazard_run(args.side, args.select, alphabet, args.n).steps, 1):
             snapshot = " ".join(alphabet.format(w) for w in sorted(map(relabel, step.snapshot)))
             print(f"{i} | {snapshot} | {alphabet.format(relabel(step.chosen))}")
-    else:  # each run drains a family in order (the table in nyldon.lazard's docstring)
-        enum = enumerate_nyldon if (side, select) == ("right", "min") else enumerate_lyndon
-        eliminated = sorted(enum(alphabet, args.n), reverse=select == "max")
+    else:
+        eliminated = lazard_eliminated(args.side, args.select, alphabet, args.n)
         print(" ".join(alphabet.format(relabel(w)) for w in eliminated))
 
 

@@ -18,14 +18,15 @@ under that order is the plain run relabeled (apply_permutation).  Left
 working sets are prefix-free, and there the maximum is the minimum
 under the letter-reversed order: hence the left/max row.
 
-Summary lines come from the generators; lazard_run serves traces.
+lazard_eliminated gives a run's order alone; lazard_run adds the working sets.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from itertools import accumulate
+from typing import Iterator, NamedTuple
 
-from .factorization import _nyldon_by_length
+from .factorization import _nyldon_by_length, enumerate_nyldon, nyldon_factorize
 from .lyndon import enumerate_lyndon, lyndon_factorize
 from .words import Alphabet, Word, _refuse_past
 
@@ -52,6 +53,56 @@ class LazardTrace(NamedTuple):
         return tuple(step.chosen for step in self.steps)
 
 
+def lazard_eliminated(side: str, selector: str, alphabet: Alphabet, max_len: int) -> list[Word]:
+    """The words the run eliminates, in order: the Hall set it drains,
+    read off the module docstring's table.
+
+    side is "left" or "right"; selector is "min" or "max".  Over one
+    letter every run eliminates the letter 0 alone, at any max_len >= 1.
+    No working set is built.  Raises ValueError for an unknown side or
+    selector, and for max_len < 1 or past ENUMERATION_BUDGET.
+
+    >>> lazard_eliminated("left", "max", Alphabet(2), 3)
+    [(1,), (1, 1, 0), (1, 0), (1, 0, 0), (0,)]
+    """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+    if selector not in ("min", "max"):
+        raise ValueError(f"selector must be 'min' or 'max', not {selector!r}")
+    if alphabet.size == 1:  # the letter 0 is the only Lyndon or Nyldon word over one letter
+        max_len = min(max_len, 1)
+    if (side, selector) == ("right", "min"):
+        return sorted(enumerate_nyldon(alphabet, max_len))
+    order = sorted(enumerate_lyndon(alphabet, max_len), reverse=side == "right")
+    if (side, selector) == ("left", "max"):
+        return [tuple(map((alphabet.size - 1).__sub__, v)) for v in order]
+    return order
+
+
+def _charges(side: str, selector: str, order: list[Word], born: dict[int, list[Word]]) -> Iterator[int]:
+    """File each word of order in born under the step q after which it
+    enters the working set (0 for a letter, else the step eliminating its
+    part), and yield j - q, the sets it lies in until step j chooses it."""
+    if side == "left":
+        # Lyndon v is Duval's successor of the word u before it, so v[:-1] is a prefix of
+        # uuu...: its longest Lyndon prefix is u past |u| letters, else that of a prefix of u.
+        # owner[i]: the step choosing the longest Lyndon prefix of the last word's first i letters
+        owner = [0]
+        for j, v in enumerate(order, 1):
+            owner[len(v):] = [j - 1] * (len(v) - len(owner))  # cut or pad to |v| entries
+            born.setdefault(owner[-1], []).append(v)
+            yield j - owner[-1]
+            owner.append(j)
+    else:  # the part, the last factor of v[1:], is eliminated before v and so ranked
+        factorize = nyldon_factorize if selector == "min" else lyndon_factorize
+        rank: dict[Word, int] = {}
+        for j, v in enumerate(order, 1):
+            q = rank[factorize(v[1:])[-1]] if len(v) > 1 else 0
+            born.setdefault(q, []).append(v)
+            yield j - q
+            rank[v] = j
+
+
 def lazard_run(side: str, selector: str, alphabet: Alphabet, max_len: int) -> LazardTrace:
     """Run the elimination until the working set is a singleton and
     return the full trace.
@@ -60,56 +111,25 @@ def lazard_run(side: str, selector: str, alphabet: Alphabet, max_len: int) -> La
     lexicographic order.  Each snapshot is the working set as an
     unordered tuple (sort it to print it).  The run is read off the
     module docstring's table: the first working set is the letters, and
-    each step removes its word h and adds the words whose part is h.  So
-    every run ends, after one step per family word, by choosing the last
-    of them alone; the tests check each set against the rewriting of the
-    one before.  ValueError is raised for max_len < 1, and for a run that
-    would record more than LAZARD_BUDGET snapshot words, before any
-    working set is built.
+    each step removes its word h, the next of lazard_eliminated, and adds
+    the words whose part is h; the tests check each set against the
+    rewriting of the one before.  ValueError is raised for max_len < 1,
+    and for a run that would record more than LAZARD_BUDGET snapshot
+    words: the run is charged word by word in elimination order, and
+    refused as soon as the total passes, before any working set is built.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-    if selector not in ("min", "max"):
-        raise ValueError(f"selector must be 'min' or 'max', not {selector!r}")
-    k = alphabet.size
-    what = f"an elimination with k={k} letters up to length n={max_len}"
+    what = f"an elimination with k={alphabet.size} letters up to length n={max_len}"
     if max_len < 1:
         raise ValueError(f"{what} needs n >= 1")
-    if k == 1:  # the letter 0 is the only Lyndon or Nyldon word over one letter
-        max_len = 1
-    if side == "left":
-        # Lyndon v is Duval's successor of the word u before it, so v[:-1] is a prefix of
-        # uuu...: its longest Lyndon prefix is u past |u| letters, else that of a prefix of u.
-        # owner[i]: the step choosing the longest Lyndon prefix of the last word's first i letters
-        order = sorted(enumerate_lyndon(alphabet, max_len))
-        owner, births = [0], []
-        for j, v in enumerate(order, 1):
-            del owner[len(v):]
-            owner += [j - 1] * (len(v) - len(owner))
-            births.append(owner[-1])
-            owner.append(j)
-        if selector == "max":
-            order = [tuple(map((k - 1).__sub__, v)) for v in order]
-    else:
-        if selector == "min":
-            parts = {v: part for group in _nyldon_by_length(alphabet, max_len) for v, part in group.items()}
-        else:
-            lyndon = enumerate_lyndon(alphabet, max_len)
-            parts = {v: lyndon_factorize(v[1:])[-1] if len(v) > 1 else None for v in lyndon}
-        order = sorted(parts, reverse=selector == "max")
-        rank = {None: 0} | {v: j for j, v in enumerate(order, 1)}
-        births = [rank[parts[v]] for v in order]
-    # the word chosen at step j enters after step q = births[j - 1] and lies in j - q working sets
-    _refuse_past(LAZARD_BUDGET, [sum(j - q for j, q in enumerate(births, 1))], what, "snapshot words")
-    born: list[list[Word]] = [[] for _ in range(len(order) + 1)]
-    for v, q in zip(order, births):
-        born[q].append(v)
+    order = lazard_eliminated(side, selector, alphabet, max_len)
+    born: dict[int, list[Word]] = {}
+    _refuse_past(LAZARD_BUDGET, accumulate(_charges(side, selector, order, born)), what, "snapshot words")
     pool = set(born[0])
     steps: list[LazardStep] = []
-    for chosen, children in zip(order, born[1:]):
+    for j, chosen in enumerate(order, 1):
         steps.append(LazardStep(tuple(pool), chosen))
         pool.remove(chosen)
-        pool.update(children)
+        pool.update(born.get(j, ()))
     return LazardTrace(tuple(steps))
 
 

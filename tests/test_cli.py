@@ -194,11 +194,11 @@ def lazard_lines(side, select, k, n, perm, trace):
 
 
 def test_lazard_summary_lines_make_no_eager_run(capsys, monkeypatch):
-    # summary lines come from enumerate_nyldon and enumerate_lyndon;
-    # only --trace needs lazard_run
+    # summary lines come from lazard_eliminated; only --trace needs lazard_run
     selectors = [(side, select) for side in ("left", "right") for select in ("min", "max")]
     perms = ((), ("--perm", "reverse"))
-    sizes = [(k, n) for k, top in ((2, 8), (3, 5)) for n in range(1, top + 1)]
+    # over one letter every run eliminates 0 alone, past any enumeration budget
+    sizes = [(k, n) for k, top in ((2, 8), (3, 5)) for n in range(1, top + 1)] + [(1, 10 ** 6)]
     summaries = {(side, select, k, n, perm): lazard_lines(side, select, k, n, perm, False)
                  for side, select in selectors for k, n in sizes for perm in perms}
     left_max_traces = {(k, n, perm): lazard_lines("left", "max", k, n, perm, True)
@@ -233,14 +233,13 @@ def test_lazard_summary_lines_make_no_eager_run(capsys, monkeypatch):
     assert (code, out) == (0, "1 | 0 1 | 0\n2 | 1 10 | 1\n3 | 10 | 10\n")
     assert run(capsys, *right_min, "2", "-n", "3") == (0, "0 1 10 100 101\n", "")
     assert calls == [("right", "min", Alphabet(2), 2)]
-    # the left/max trace is printed from the relabeled left/min run
+    # the left/max trace is printed from lazard_run's own left/max run
     calls.clear()
     for (k, n, perm), out in left_max_traces.items():
         argv = ("lazard", "--side", "left", "--select", "max", "-k", str(k), "-n", str(n),
                 *perm, "--trace")
         assert run(capsys, *argv) == (0, out, ""), argv
-    assert {args[:2] for args in calls} == {("left", "min")}
-
+    assert {args[:2] for args in calls} == {("left", "max")}
 
 def test_codes_comma_free_yes(capsys):
     code, out, err = run(capsys, "codes", "comma-free", "-k", "2", "-n", "4")
@@ -282,6 +281,15 @@ def test_codes_circular(capsys):
     )
     assert (code, out) == (
         0, "circular (bounded search, messages up to 2 letters): yes\n",
+    )
+
+
+def test_codes_circular_prints_a_witness_for_a_code_that_is_not_circular(capsys, monkeypatch):
+    # every Nyldon code tried is circular, so a stand-in code {01, 10}
+    # shows the witness lines: the codeword 01 cut as u=0, v=1 gives vu=10
+    monkeypatch.setattr("nyldon.cli.nyldon_code", lambda alphabet, n: frozenset({(0, 1), (1, 0)}))
+    assert run(capsys, "codes", "circular", "-k", "2", "-n", "2") == (
+        0, "circular (bounded search, messages up to 8 letters): no\nwitness: u=0 v=1\n", "",
     )
 
 

@@ -53,6 +53,13 @@ def test_in_code_star():
         in_code_star(frozenset(), 0, ())
 
 
+def test_table_refuses_empty_ranges():
+    with pytest.raises(ValueError, match="k_max must be at least 2"):
+        nyldon_comma_free_table(1, 3)
+    with pytest.raises(ValueError, match="n_max must be at least 1"):
+        nyldon_comma_free_table(2, 0)
+
+
 def test_verdict_shapes():
     good = is_comma_free_uniform(code(2, 5), 5)
     assert good.holds and good.witness is None
@@ -289,3 +296,6 @@ def test_uniformity_validation():
         is_comma_free_uniform({w("1"), w("10")}, 2)
     with pytest.raises(ValueError):
         is_circular_bounded({w("1"), w("10")}, 2)
+    for check in (is_comma_free_uniform, is_circular_bounded):
+        with pytest.raises(ValueError, match="codeword length must be at least 1"):
+            check(frozenset(), 0)

@@ -34,6 +34,8 @@ def test_factorize_pins():
 def test_factorize_rejects_empty():
     with pytest.raises(ValueError):
         nyldon_factorize(())
+    with pytest.raises(ValueError, match="the empty word has no Nyldon suffix"):
+        longest_nyldon_suffix(())
 
 
 def test_factorize_properties(binary_nyldon_upto_12):

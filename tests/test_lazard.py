@@ -12,6 +12,8 @@ import time
 
 import pytest
 
+import nyldon.lazard
+
 from nyldon import (
     Alphabet,
     LazardStep,
@@ -19,6 +21,7 @@ from nyldon import (
     apply_permutation,
     enumerate_lyndon,
     enumerate_nyldon,
+    lazard_eliminated,
     lazard_run,
     lazard_stepcount_nyldon,
     lyndon_factorize,
@@ -84,8 +87,8 @@ def test_quadrant_identities():
     # left/min and right/max drain the Lyndon words (ascending and
     # descending), left/min relabeled by letter reversal is left/max, and
     # right/min drains the Nyldon words ascending.  The `lazard` summary
-    # lines print these identities, so each is checked for k <= 4 up to
-    # a top size that runs in about a second
+    # lines print lazard_eliminated, so it and each run are checked for
+    # k <= 4 up to a top size (covering HALL_RANGES) that runs in about a second
     for k, top in ((1, 234), (2, 12), (3, 7), (4, 6)):
         a = Alphabet(k)
         perm = reverse_permutation(k)
@@ -99,6 +102,7 @@ def test_quadrant_identities():
             }
             for (side, select), eliminated in expected.items():
                 assert lazard_run(side, select, a, n).eliminated == eliminated, (side, select, k, n)
+                assert tuple(lazard_eliminated(side, select, a, n)) == eliminated, (side, select, k, n)
 
 
 RUNS = tuple((side, select) for side in ("left", "right") for select in ("min", "max"))
@@ -141,6 +145,27 @@ def test_runs_past_a_budget_are_refused_before_any_working_set(side, select, k, 
     with pytest.raises(ValueError, match=f"k={k} .* n={n} "):
         lazard_run(side, select, Alphabet(k), n)
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("select", ["min", "max"])
+@pytest.mark.parametrize("k, n", [(2, 21), (3, 13), (773, 2)])
+def test_right_runs_are_refused_after_a_few_parts(monkeypatch, select, k, n):
+    # each run charges its words in elimination order as their parts are
+    # read, so it passes the budget a few thousand words in, not after
+    # computing all 192k-299k parts
+    calls = []
+
+    def counted(factorize):
+        def part(w):
+            calls.append(w)
+            return factorize(w)
+        return part
+
+    for name in ("lyndon_factorize", "nyldon_factorize"):
+        monkeypatch.setattr(f"nyldon.lazard.{name}", counted(getattr(nyldon.lazard, name)))
+    with pytest.raises(ValueError, match=f"k={k} .* n={n} .* {LAZARD_BUDGET} snapshot words"):
+        lazard_run("right", select, Alphabet(k), n)
+    assert 0 < len(calls) <= 5000
 
 
 def test_one_letter_runs_take_one_step_at_every_length():

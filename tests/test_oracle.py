@@ -140,3 +140,5 @@ def test_input_errors_are_value_errors():
             call()
     with pytest.raises(ValueError):
         necklace_count(2, 0)
+    with pytest.raises(ValueError, match="max_len must be at least 1"):
+        enumerate_by_filter("nyldon", A2, 0)
