@@ -12,7 +12,6 @@ as one `error:` line.  A stdout closed early also exits 1, quietly.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 
@@ -150,7 +149,6 @@ def _add_family(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--family", choices=["lyndon", "nyldon"], default="nyldon")
 
 
-@functools.cache  # built on first use, not at import, and then reused by every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nyldon",
@@ -227,8 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process, built at import, so that the first main call costs what every later one does
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         args.func(args)
         sys.stdout.flush()  # so a reader gone before the flush at exit meets the handler below

@@ -57,29 +57,29 @@ def is_nyldon(w: Word) -> bool:
     return len(nyldon_factorize(w)) == 1
 
 
-def _nyldon_by_length(alphabet: Alphabet, max_len: int) -> list[dict[Word, Word | None]]:
+def _nyldon_by_length(alphabet: Alphabet, max_len: int) -> list[dict[Word, Word]]:
     """The Nyldon words of length 0..max_len grouped by length.  Group n
     maps its words, in lexicographic order, to the right parts of their
-    standard factorizations (None for a letter).
+    standard factorizations (the empty word for a letter).
 
     Nyldon words form a right Lazard set, hence a Hall set: a word of
-    length n >= 2 is uv with u, v Nyldon, u > v, and u a letter or
-    right(u) <= v, where uv's standard factorization is u.v.  So for
+    length n >= 2 is uv with u, v Nyldon, u > v, and right(u) <= v
+    (always true for a letter u, whose right part is the empty word),
+    where uv's standard factorization is u.v.  So for
     each shorter u the admissible v of length n - |u| are one
     contiguous range of the sorted group, cut out by two bisections,
     and the work follows the number of words made.  Raises ValueError
     for max_len < 1 or past ENUMERATION_BUDGET.
     """
     _check_enumeration_budget("Nyldon", alphabet, max_len)
-    groups: list[dict[Word, Word | None]] = [{}, dict.fromkeys((a,) for a in alphabet.letters())]
+    groups: list[dict[Word, Word]] = [{}, dict.fromkeys(((a,) for a in alphabet.letters()), ())]
     ranked: list[list[Word]] = [[], list(groups[1])]
     for n in range(2, max_len + 1):
         made: dict[Word, Word] = {}
         for i in range(1, n):
             vs = ranked[n - i]
             for u, right in groups[i].items():
-                low = 0 if right is None else bisect_left(vs, right)
-                for v in vs[low:bisect_left(vs, u)]:
+                for v in vs[bisect_left(vs, right):bisect_left(vs, u)]:
                     made[u + v] = v
         ranked.append(sorted(made))
         groups.append({w: made[w] for w in ranked[n]})

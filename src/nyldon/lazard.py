@@ -8,7 +8,7 @@ part is ever inspected).  The four extremal selectors drain Hall sets:
 a word enters the working set right after its part is eliminated.
 
     left  / min   the Lyndon words, increasing; part: longest proper Lyndon prefix
-    left  / max   the left/min run, relabeled by letter reversal
+    left  / max   the Lyndon words of the reversed letter order, increasing
     right / min   the Nyldon words, increasing; part: standard right factor
     right / max   the Lyndon words, decreasing; part: longest proper Lyndon suffix
 
@@ -16,7 +16,8 @@ Relabeling letters through a permutation carries lexicographic order
 onto the permuted order and commutes with the rewriting, so the run
 under that order is the plain run relabeled (apply_permutation).  Left
 working sets are prefix-free, and there the maximum is the minimum
-under the letter-reversed order: hence the left/max row.
+under the letter-reversed order: hence the left/max row, which is the
+left/min run relabeled by letter reversal.
 
 lazard_eliminated gives a run's order alone; lazard_run adds the working sets.
 """
@@ -27,7 +28,7 @@ from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 from .factorization import _nyldon_by_length, enumerate_nyldon, nyldon_factorize
-from .lyndon import enumerate_lyndon, lyndon_factorize
+from .lyndon import _lyndon_words, lyndon_factorize
 from .words import Alphabet, Word, _refuse_past
 
 # the most snapshot words a run may record, summed over its working sets; a run
@@ -57,10 +58,14 @@ def lazard_eliminated(side: str, selector: str, alphabet: Alphabet, max_len: int
     """The words the run eliminates, in order: the Hall set it drains,
     read off the module docstring's table.
 
-    side is "left" or "right"; selector is "min" or "max".  Over one
-    letter every run eliminates the letter 0 alone, at any max_len >= 1.
-    No working set is built.  Raises ValueError for an unknown side or
-    selector, and for max_len < 1 or past ENUMERATION_BUDGET.
+    side is "left" or "right"; selector is "min" or "max".  The Lyndon
+    runs are read straight off Duval's successor step (_lyndon_words):
+    left/min is its list, right/max that list reversed, and left/max its
+    list under the reversed letter order; only the Nyldon words
+    (right/min) are sorted.  Over one letter every run eliminates the
+    letter 0 alone, at any max_len >= 1.  No working set is built.
+    Raises ValueError for an unknown side or selector, and for
+    max_len < 1 or past ENUMERATION_BUDGET.
 
     >>> lazard_eliminated("left", "max", Alphabet(2), 3)
     [(1,), (1, 1, 0), (1, 0), (1, 0, 0), (0,)]
@@ -73,10 +78,8 @@ def lazard_eliminated(side: str, selector: str, alphabet: Alphabet, max_len: int
         max_len = min(max_len, 1)
     if (side, selector) == ("right", "min"):
         return sorted(enumerate_nyldon(alphabet, max_len))
-    order = sorted(enumerate_lyndon(alphabet, max_len), reverse=side == "right")
-    if (side, selector) == ("left", "max"):
-        return [tuple(map((alphabet.size - 1).__sub__, v)) for v in order]
-    return order
+    order = _lyndon_words(alphabet, max_len, reverse=(side, selector) == ("left", "max"))
+    return order[::-1] if side == "right" else order
 
 
 def _charges(side: str, selector: str, order: list[Word], born: dict[int, list[Word]]) -> Iterator[int]:
@@ -141,11 +144,11 @@ def lazard_stepcount_nyldon(alphabet: Alphabet, max_len: int) -> tuple[int, int]
     The run eliminates the Nyldon words in increasing order, step s the
     word of rank s, and a word with standard factorization u.v enters
     the working set when v is eliminated, at step rank(v) + 1.  So j is
-    1 + the rank of the greatest right part _nyldon_by_length records,
-    or of (), ranked 0, when there are only letters.  No run is needed.
-    Raises ValueError for max_len < 1 or past ENUMERATION_BUDGET.
+    1 + the rank of the greatest right part _nyldon_by_length records:
+    a letter's is the empty word, ranked 0.  No run is needed.  Raises
+    ValueError for max_len < 1 or past ENUMERATION_BUDGET.
     """
     groups = _nyldon_by_length(alphabet, max_len)
     words = [w for group in groups for w in group]
-    last = max((v for group in groups for v in group.values() if v is not None), default=())
+    last = max(v for group in groups for v in group.values())
     return 1 + sum(w <= last for w in words), len(words)

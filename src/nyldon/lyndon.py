@@ -64,27 +64,39 @@ def lyndon_conjugate(w: Word) -> Word:
     raise ValueError("only primitive words have a Lyndon conjugate")
 
 
-def _lyndon_by_length(alphabet: Alphabet, max_len: int) -> list[list[Word]]:
-    """The Lyndon words of length 0..max_len grouped by length, each
-    group in lexicographic order.
+def _lyndon_words(alphabet: Alphabet, max_len: int, reverse: bool = False) -> list[Word]:
+    """The Lyndon words of length 1..max_len in lexicographic order, under
+    the alphabet's letter order or, with reverse, under the reversed one
+    (k-1 < ... < 1 < 0).
 
-    Duval's (1988) successor step visits every Lyndon word of length
-    <= max_len in lexicographic order: repeat w periodically up to
-    max_len letters, drop the trailing maximal letters, and increment
-    the last letter left.  Raises ValueError for max_len < 1 or past
-    ENUMERATION_BUDGET.
+    Duval's (1988) successor step visits them in that order: repeat w
+    periodically up to max_len letters, drop the trailing maximal
+    letters, and move the last letter left one letter up the order.
+    Raises ValueError for max_len < 1 or past ENUMERATION_BUDGET, before
+    any word is built.
     """
     _check_enumeration_budget("Lyndon", alphabet, max_len)
-    top = alphabet.size - 1
-    groups: list[list[Word]] = [[] for _ in range(max_len + 1)]
-    w = [0]
+    first, last, step = (alphabet.size - 1, 0, -1) if reverse else (0, alphabet.size - 1, 1)
+    words: list[Word] = []
+    w = [first - step]  # the loop's first step makes it the least letter
     while w:
-        groups[len(w)].append(tuple(w))
+        w[-1] += step
+        words.append(tuple(w))
         w = (w * (max_len // len(w) + 1))[:max_len]
-        while w and w[-1] == top:
+        while w and w[-1] == last:
             w.pop()
-        if w:
-            w[-1] += 1
+    return words
+
+
+def _lyndon_by_length(alphabet: Alphabet, max_len: int) -> list[list[Word]]:
+    """The Lyndon words of length 0..max_len grouped by length, each
+    group in lexicographic order: _lyndon_words bucketed by length.
+    Raises ValueError for max_len < 1 or past ENUMERATION_BUDGET.
+    """
+    words = _lyndon_words(alphabet, max_len)  # refused past the budget before any group is built
+    groups: list[list[Word]] = [[] for _ in range(max_len + 1)]
+    for w in words:
+        groups[len(w)].append(w)
     return groups
 
 
@@ -92,8 +104,8 @@ def enumerate_lyndon(alphabet: Alphabet, max_len: int) -> list[Word]:
     """All Lyndon words of length 1..max_len, shortest first,
     lexicographic within each length.
 
-    Generated in lexicographic order by Duval's successor step and
-    bucketed by length; no membership test runs.  Raises ValueError for
-    max_len < 1 or past ENUMERATION_BUDGET.
+    Generated in lexicographic order by Duval's successor step
+    (_lyndon_words) and bucketed by length; no membership test runs.
+    Raises ValueError for max_len < 1 or past ENUMERATION_BUDGET.
     """
     return [w for group in _lyndon_by_length(alphabet, max_len) for w in group]

@@ -1,6 +1,6 @@
 """Shared fixtures: exhaustive membership tables reused across files,
 and the environment for tests that run this checkout in a fresh
-interpreter."""
+interpreter.  Also caps the address space of the test process."""
 
 import os
 from pathlib import Path
@@ -9,8 +9,21 @@ import pytest
 
 from nyldon import Alphabet, is_lyndon, is_nyldon
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 BINARY = Alphabet(2)
 ROOT = Path(__file__).resolve().parents[1]
+# the suite peaks near 120 MB; a runaway allocation past this cap raises
+# MemoryError in the test that made it instead of getting the run killed
+ADDRESS_SPACE_CAP = 2 << 30
+
+if resource is not None:
+    _soft, _hard = resource.getrlimit(resource.RLIMIT_AS)
+    if _soft == resource.RLIM_INFINITY or _soft > ADDRESS_SPACE_CAP:  # lower it, never raise it
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, _hard))
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ except ModuleNotFoundError:  # Python 3.10: pytest itself depends on tomli
 from nyldon import (
     Alphabet, apply_permutation, count_by_length, lazard_run, reverse_permutation,
 )
-from nyldon.cli import build_parser, main
+from nyldon.cli import main
 
 
 def run(capsys, *argv):
@@ -368,8 +368,10 @@ def test_bijection_below_length_two_names_n(capsys):
     )
 
 
-def test_the_parser_is_built_once_per_process():
-    assert build_parser() is build_parser()
+def test_the_parser_is_built_once_per_process(monkeypatch, capsys):
+    # main reuses the parser built at import, so no call of it pays for building one
+    monkeypatch.setattr("nyldon.cli.build_parser", lambda: pytest.fail("main built a parser"))
+    assert run(capsys, "test", "10") == (0, "true\n", "")
 
 
 def test_usage_errors_exit_2(capsys):

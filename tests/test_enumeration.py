@@ -12,6 +12,7 @@ from nyldon import (
     enumerate_lyndon,
     enumerate_nyldon,
     is_nyldon,
+    lazard_eliminated,
     lazard_run,
     lazard_stepcount_nyldon,
     necklace_count,
@@ -19,7 +20,7 @@ from nyldon import (
     standard_factorization,
 )
 from nyldon.factorization import _nyldon_by_length
-from nyldon.lyndon import _lyndon_by_length
+from nyldon.lyndon import _lyndon_by_length, _lyndon_words
 from nyldon.words import ENUMERATION_BUDGET, _check_enumeration_budget
 
 A2 = Alphabet(2)
@@ -31,6 +32,12 @@ def test_generators_match_the_filters(k, max_len):
     nyldon = enumerate_by_filter("nyldon", alphabet, max_len)
     assert enumerate_nyldon(alphabet, max_len) == nyldon
     assert enumerate_lyndon(alphabet, max_len) == enumerate_by_filter("lyndon", alphabet, max_len)
+    # Duval's successor step lists them in lexicographic order, and under
+    # the reversed letter order the Lyndon words are the plain ones with
+    # each letter a read as k-1-a, in the same order
+    lyndon = sorted(enumerate_lyndon(alphabet, max_len))
+    assert _lyndon_words(alphabet, max_len) == lyndon
+    assert _lyndon_words(alphabet, max_len, reverse=True) == [tuple(k - 1 - a for a in v) for v in lyndon]
     for n in range(1, max_len + 1):
         assert nyldon_code(alphabet, n) == {v for v in nyldon if len(v) == n}
 
@@ -47,7 +54,7 @@ def test_recorded_right_parts_are_the_standard_factorizations(k, max_len):
     # the Hall-set recurrence builds uv from its standard factorization u.v:
     # the paper's right Lazard property, read off word by word
     groups = _nyldon_by_length(Alphabet(k), max_len)
-    assert all(right is None for right in groups[1].values())
+    assert all(right == () for right in groups[1].values())
     for group in groups[2:]:
         for v, right in group.items():
             left = v[:len(v) - len(right)]
@@ -64,6 +71,8 @@ def test_enumeration_budget_boundary():
 
 @pytest.mark.parametrize("n", [0, -1])
 @pytest.mark.parametrize("family, call", [
+    ("Lyndon", lambda n: _lyndon_words(A2, n)),
+    ("Lyndon", lambda n: _lyndon_words(A2, n, reverse=True)),
     ("Lyndon", lambda n: _lyndon_by_length(A2, n)),
     ("Nyldon", lambda n: _nyldon_by_length(A2, n)),
     ("Lyndon", lambda n: enumerate_lyndon(A2, n)),
@@ -72,11 +81,12 @@ def test_enumeration_budget_boundary():
     ("Nyldon", lambda n: count_by_length("nyldon", A2, n)),
     ("Nyldon", lambda n: nyldon_code(A2, n)),
     ("Nyldon", lambda n: lazard_stepcount_nyldon(A2, n)),
-], ids=["_lyndon_by_length", "_nyldon_by_length", "enumerate_lyndon", "enumerate_nyldon",
-        "count_by_length-lyndon", "count_by_length-nyldon", "nyldon_code",
-        "lazard_stepcount_nyldon"])
+], ids=["_lyndon_words", "_lyndon_words-reverse", "_lyndon_by_length", "_nyldon_by_length",
+        "enumerate_lyndon", "enumerate_nyldon", "count_by_length-lyndon", "count_by_length-nyldon",
+        "nyldon_code", "lazard_stepcount_nyldon"])
 def test_generators_refuse_length_bounds_below_one(family, call, n):
-    # the two generators own the bound, and the wrappers pass their error through
+    # Duval's successor step and the Hall-set recurrence own the bound, and
+    # the wrappers pass their error through
     with pytest.raises(ValueError) as exc:
         call(n)
     assert str(exc.value) == (
@@ -98,6 +108,9 @@ def test_generators_refuse_length_bounds_below_one(family, call, n):
     lambda: lazard_run("right", "min", A2, 10 ** 9),
     lambda: lazard_run("right", "min", Alphabet(10 ** 9), 2),
     lambda: lazard_run("left", "min", Alphabet(2550), 1),
+    # Duval's successor step must be refused before it builds anything of size n
+    lambda: enumerate_lyndon(A2, 10 ** 9),
+    lambda: lazard_eliminated("left", "max", A2, 10 ** 9),
 ])
 def test_exponential_work_is_refused_before_it_starts(call):
     with pytest.raises(ValueError, match="needs more than the budget of"):

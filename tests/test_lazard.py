@@ -19,6 +19,7 @@ from nyldon import (
     LazardStep,
     LazardTrace,
     apply_permutation,
+    enumerate_by_filter,
     enumerate_lyndon,
     enumerate_nyldon,
     lazard_eliminated,
@@ -268,9 +269,32 @@ def test_lazy_right_min_run_lists_the_nyldon_words_past_the_lazard_budget():
 
 
 def test_left_max_eliminates_letter_reversed_lyndon_words():
-    perm = reverse_permutation(2)
-    images = {apply_permutation(perm, v) for v in enumerate_lyndon(A2, 5)}
-    assert set(lazard_run("left", "max", A2, 5).eliminated) == images
+    # left/max drains the Lyndon words of the reversed letter order, in
+    # increasing order there: the filtered Lyndon words, sorted and relabeled
+    for k, top in HALL_RANGES:
+        a = Alphabet(k)
+        perm = reverse_permutation(k)
+        for n in range(1, top + 1):
+            expected = tuple(apply_permutation(perm, v) for v in sorted(enumerate_by_filter("lyndon", a, n)))
+            assert lazard_run("left", "max", a, n).eliminated == expected, (k, n)
+            assert tuple(lazard_eliminated("left", "max", a, n)) == expected, (k, n)
+
+
+def test_only_the_nyldon_run_is_sorted(monkeypatch):
+    # Duval's successor step lists the Lyndon words in the order each
+    # Lyndon run eliminates them, so only right/min sorts its words
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(nyldon.lazard, "sorted", counted, raising=False)
+    for (side, select), sorts in {("left", "min"): 0, ("left", "max"): 0, ("right", "max"): 0,
+                                  ("right", "min"): 1}.items():
+        calls.clear()
+        lazard_eliminated(side, select, A2, 8)
+        assert len(calls) == sorts, (side, select)
 
 
 def test_left_max_equals_left_min_under_reversal():
@@ -403,7 +427,7 @@ def test_nyldon_words_are_born_after_their_right_part():
             rank = {v: r for r, v in enumerate(sorted(v for g in groups for v in g), 1)}
             for group in groups:
                 for v, right in group.items():
-                    assert first[v] == (1 if right is None else 1 + rank[right]), (k, n, v)
+                    assert first[v] == 1 + rank.get(right, 0), (k, n, v)
 
 
 def test_stepcount_equals_the_run_based_reference():
