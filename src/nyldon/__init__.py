@@ -1,17 +1,9 @@
 """Lyndon and Nyldon words: factorizations, conjugacy, eliminations, codes."""
 
-from .words import (
-    Alphabet,
-    Word,
-    apply_permutation,
-    format_factorization,
-    is_primitive,
-    reverse_permutation,
-)
+from .words import Alphabet, Word, format_factorization, is_primitive
 from .lyndon import enumerate_lyndon, is_lyndon, lyndon_conjugate, lyndon_factorize
 from .factorization import (
     enumerate_nyldon,
-    forbidden_prefix_family,
     is_nyldon,
     longest_nyldon_suffix,
     nyldon_factorize,
@@ -35,17 +27,20 @@ from .codes import (
     is_comma_free_uniform,
     nyldon_code,
     nyldon_comma_free_classification,
-    nyldon_comma_free_table,
 )
 from .oracle import (
+    apply_permutation,
     count_by_length,
     counting_bijection,
     enumerate_by_filter,
     exhaustive_factorizations,
+    forbidden_prefix_family,
     is_comma_free_definitional,
     is_forbidden_prefix_upto,
     necklace_count,
+    nyldon_comma_free_table,
     recursive_is_lyndon,
     recursive_is_nyldon,
+    reverse_permutation,
     rotations,
 )

@@ -141,28 +141,3 @@ def nyldon_comma_free_classification(k: int, n: int) -> bool:
     so longer codes are empty); at length 2 only for two or three letters;
     at lengths 3 through 6 only for two letters; never past length 6."""
     return n == 1 or k == 1 or (n == 2 and k in (2, 3)) or (k == 2 and 3 <= n <= 6)
-
-
-def nyldon_comma_free_table(k_max: int, n_max: int) -> dict[tuple[int, int], bool]:
-    """Computed comma-free verdicts for the codes nyldon_code(k, n),
-    2 <= k <= k_max and 1 <= n <= n_max, keyed by (k, n).
-
-    Each verdict is asserted against the closed-form classification, so
-    a disagreement fails loudly instead of propagating.
-    """
-    if k_max < 2:
-        raise ValueError("k_max must be at least 2")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    table: dict[tuple[int, int], bool] = {}
-    for k in range(2, k_max + 1):
-        alphabet = Alphabet(k)
-        for n in range(1, n_max + 1):
-            verdict = is_comma_free_uniform(nyldon_code(alphabet, n), n)
-            if verdict.holds != nyldon_comma_free_classification(k, n):
-                raise AssertionError(
-                    f"computed comma-free verdict {verdict.holds} for k={k}, n={n}"
-                    " contradicts the classification"
-                )
-            table[k, n] = verdict.holds
-    return table

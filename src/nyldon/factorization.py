@@ -132,29 +132,3 @@ def standard_factorization(w: Word) -> tuple[Word, Word]:
         raise ValueError("not a Nyldon word")
     right = longest_nyldon_suffix(w, proper=True)
     return w[: len(w) - len(right)], right
-
-
-def forbidden_prefix_family(k_param: int, family_index: int) -> Word:
-    """A member of one of four binary families of forbidden prefixes.
-
-    family 1:  1 0^k 1 0^k
-    family 2:  1 0^k 1011
-    family 3:  1 0 1^(k+1) 0 1^(k+1)
-    family 4:  1 0^(k+2) 11 0^(k+1) 11
-
-    No binary Nyldon word starts with any of these (checked empirically
-    by the paired oracle.is_forbidden_prefix_upto tests; the families are
-    closed-form, the evidence is bounded).
-    """
-    if k_param < 0:
-        raise ValueError("k_param must be nonnegative")
-    k = k_param
-    if family_index == 1:
-        return (1,) + (0,) * k + (1,) + (0,) * k
-    if family_index == 2:
-        return (1,) + (0,) * k + (1, 0, 1, 1)
-    if family_index == 3:
-        return (1, 0) + (1,) * (k + 1) + (0,) + (1,) * (k + 1)
-    if family_index == 4:
-        return (1,) + (0,) * (k + 2) + (1, 1) + (0,) * (k + 1) + (1, 1)
-    raise ValueError("family_index must be 1, 2, 3 or 4")

@@ -14,8 +14,8 @@ a word enters the working set right after its part is eliminated.
 
 Relabeling letters through a permutation carries lexicographic order
 onto the permuted order and commutes with the rewriting, so the run
-under that order is the plain run relabeled (apply_permutation).  Left
-working sets are prefix-free, and there the maximum is the minimum
+under that order is the plain run relabeled (oracle.apply_permutation).
+Left working sets are prefix-free, and there the maximum is the minimum
 under the letter-reversed order: hence the left/max row, which is the
 left/min run relabeled by letter reversal.
 
@@ -116,14 +116,13 @@ def lazard_run(side: str, selector: str, alphabet: Alphabet, max_len: int) -> La
     module docstring's table: the first working set is the letters, and
     each step removes its word h, the next of lazard_eliminated, and adds
     the words whose part is h; the tests check each set against the
-    rewriting of the one before.  ValueError is raised for max_len < 1,
-    and for a run that would record more than LAZARD_BUDGET snapshot
-    words: the run is charged word by word in elimination order, and
-    refused as soon as the total passes, before any working set is built.
+    rewriting of the one before.  ValueError is raised as
+    lazard_eliminated raises it (max_len < 1 among others), and for a
+    run that would record more than LAZARD_BUDGET snapshot words: the
+    run is charged word by word in elimination order, and refused as
+    soon as the total passes, before any working set is built.
     """
     what = f"an elimination with k={alphabet.size} letters up to length n={max_len}"
-    if max_len < 1:
-        raise ValueError(f"{what} needs n >= 1")
     order = lazard_eliminated(side, selector, alphabet, max_len)
     born: dict[int, list[Word]] = {}
     _refuse_past(LAZARD_BUDGET, accumulate(_charges(side, selector, order, born)), what, "snapshot words")

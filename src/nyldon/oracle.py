@@ -8,21 +8,26 @@ the per-length counts as aperiodic necklaces by the word-count identity
 k**n = sum of d * count(d) over d | n, the rank-matching bijection
 between non-Lyndon and non-Nyldon words of a fixed length, forbidden
 prefixes by trying every extension, comma-freeness by cutting every
-short message, and conjugacy classes by listing every rotation.  Tests
-pit the two sides against each other.  The CLI also uses three
-functions from here: count_by_length for `count` (the sizes of the
-generators' length groups), necklace_count for `count --check-formula`,
-and counting_bijection for `bijection`, which ranks the generators'
-groups and maps every word of the given length.
+short message, and conjugacy classes by listing every rotation.  It
+also holds what only the tests, the demos and the benchmark's table
+call: letter relabelings (apply_permutation, reverse_permutation), the
+four closed-form forbidden-prefix families, and the computed comma-free
+table, checked against codes' closed-form classification.  Tests pit
+the two sides against each other.  The CLI also uses three functions
+from here: count_by_length for `count` (the sizes of the generators'
+length groups), necklace_count for `count --check-formula`, and
+counting_bijection for `bijection`, which ranks the generators' groups
+and maps every word of the given length.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, product
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .codes import CodeVerdict, _uniform, in_code_star
+from .codes import (CodeVerdict, _uniform, in_code_star, is_comma_free_uniform, nyldon_code,
+                    nyldon_comma_free_classification)
 from .factorization import _nyldon_by_length, is_nyldon, nyldon_factorize
 from .lyndon import _lyndon_by_length, is_lyndon, lyndon_factorize
 from .words import Alphabet, Word, _refuse_past
@@ -42,6 +47,25 @@ def rotations(w: Word) -> list[Word]:
     if not w:
         raise ValueError("the empty word has no rotations")
     return [w[i:] + w[:i] for i in range(len(w))]
+
+
+def apply_permutation(perm: Sequence[int], w: Word) -> Word:
+    """Relabel w letterwise through a bijection of range(len(perm)).
+
+    Extends the relabeling to words as a monoid morphism:
+    the image of u + v is the image of u followed by the image of v.
+    """
+    k = len(perm)
+    if sorted(perm) != list(range(k)):
+        raise ValueError(f"{perm!r} is not a permutation of range({k})")
+    if any(not 0 <= a < k for a in w):
+        raise ValueError("letter outside the permutation's domain")
+    return tuple(perm[a] for a in w)
+
+
+def reverse_permutation(k: int) -> tuple[int, ...]:
+    """The order-reversing relabeling i -> k-1-i on range(k)."""
+    return tuple(k - 1 - i for i in range(k))
 
 
 def _monotone_splits(w: Word, member: Callable[[Word], bool],
@@ -231,6 +255,32 @@ def counting_bijection(alphabet: Alphabet, n: int) -> dict[Word, Word]:
     return mapping
 
 
+def forbidden_prefix_family(k_param: int, family_index: int) -> Word:
+    """A member of one of four binary families of forbidden prefixes.
+
+    family 1:  1 0^k 1 0^k
+    family 2:  1 0^k 1011
+    family 3:  1 0 1^(k+1) 0 1^(k+1)
+    family 4:  1 0^(k+2) 11 0^(k+1) 11
+
+    No binary Nyldon word starts with any of these (checked empirically
+    by the paired is_forbidden_prefix_upto tests; the families are
+    closed-form, the evidence is bounded).
+    """
+    if k_param < 0:
+        raise ValueError("k_param must be nonnegative")
+    k = k_param
+    if family_index == 1:
+        return (1,) + (0,) * k + (1,) + (0,) * k
+    if family_index == 2:
+        return (1,) + (0,) * k + (1, 0, 1, 1)
+    if family_index == 3:
+        return (1, 0) + (1,) * (k + 1) + (0,) + (1,) * (k + 1)
+    if family_index == 4:
+        return (1,) + (0,) * (k + 2) + (1, 1) + (0,) * (k + 1) + (1, 1)
+    raise ValueError("family_index must be 1, 2, 3 or 4")
+
+
 def is_forbidden_prefix_upto(prefix: Word, max_len: int, alphabet: Alphabet) -> bool:
     """True iff no Nyldon word over the alphabet of length <= max_len
     starts with the given prefix.
@@ -273,3 +323,28 @@ def is_comma_free_definitional(code: Iterable[Word], n: int) -> CodeVerdict:
                     if not (in_code_star(words, n, u) and in_code_star(words, n, v)):
                         return CodeVerdict(False, (u, x, v))
     return CodeVerdict(True)
+
+
+def nyldon_comma_free_table(k_max: int, n_max: int) -> dict[tuple[int, int], bool]:
+    """Computed comma-free verdicts for the codes nyldon_code(k, n),
+    2 <= k <= k_max and 1 <= n <= n_max, keyed by (k, n).
+
+    Each verdict is asserted against the closed-form classification, so
+    a disagreement fails loudly instead of propagating.
+    """
+    if k_max < 2:
+        raise ValueError("k_max must be at least 2")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    table: dict[tuple[int, int], bool] = {}
+    for k in range(2, k_max + 1):
+        alphabet = Alphabet(k)
+        for n in range(1, n_max + 1):
+            verdict = is_comma_free_uniform(nyldon_code(alphabet, n), n)
+            if verdict.holds != nyldon_comma_free_classification(k, n):
+                raise AssertionError(
+                    f"computed comma-free verdict {verdict.holds} for k={k}, n={n}"
+                    " contradicts the classification"
+                )
+            table[k, n] = verdict.holds
+    return table

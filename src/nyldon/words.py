@@ -47,25 +47,6 @@ def is_primitive(w: Word) -> bool:
     return m == 1 or w[n // m:] != w[:-(n // m)]
 
 
-def apply_permutation(perm: Sequence[int], w: Word) -> Word:
-    """Relabel w letterwise through a bijection of range(len(perm)).
-
-    Extends the relabeling to words as a monoid morphism:
-    the image of u + v is the image of u followed by the image of v.
-    """
-    k = len(perm)
-    if sorted(perm) != list(range(k)):
-        raise ValueError(f"{perm!r} is not a permutation of range({k})")
-    if any(not 0 <= a < k for a in w):
-        raise ValueError("letter outside the permutation's domain")
-    return tuple(perm[a] for a in w)
-
-
-def reverse_permutation(k: int) -> tuple[int, ...]:
-    """The order-reversing relabeling i -> k-1-i on range(k)."""
-    return tuple(k - 1 - i for i in range(k))
-
-
 def _read_letters(tokens: list[str], text: str) -> Word:
     """The letters spelled by decimal tokens split from text.  Only
     ASCII decimals are read: int() alone would also take "+1", "1_0",

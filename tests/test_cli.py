@@ -326,8 +326,8 @@ def test_malformed_word_is_a_domain_error(capsys):
 
 
 def test_sizes_below_one_are_domain_errors(capsys):
-    # a length bound below 1 is refused by the generator or run it reaches,
-    # in the words of that generator's or run's budget error
+    # a length bound below 1 is refused by the generator it reaches, in the
+    # words of that generator's budget error, with or without --trace
     below = "with k=2 letters up to length n={} needs n >= 1"
     for argv, what in (
         (["enumerate", "-k", "2", "--max-len", "0"], "enumerating Nyldon words " + below.format(0)),
@@ -339,7 +339,7 @@ def test_sizes_below_one_are_domain_errors(capsys):
         (["lazard", "--side", "left", "--select", "min", "-k", "2", "-n", "0"],
          "enumerating Lyndon words " + below.format(0)),
         (["lazard", "--side", "left", "--select", "min", "-k", "2", "-n", "0", "--trace"],
-         "an elimination " + below.format(0)),
+         "enumerating Lyndon words " + below.format(0)),
         (["codes", "comma-free", "-k", "2", "-n", "0"],
          "enumerating Nyldon words " + below.format(0)),
         (["powers", "10", "--max-exp", "0"],

@@ -125,10 +125,10 @@ def test_nyldon_codes_are_circular_at_the_exact_bound():
 def test_table_disagreement_raises_under_optimization(tmp_path, checkout_env):
     # python -O strips bare asserts; the table's check must survive it
     child = (
-        "import nyldon.codes as codes\n"
-        "right = codes.nyldon_comma_free_classification\n"
-        "codes.nyldon_comma_free_classification = lambda k, n: not right(k, n)\n"
-        "codes.nyldon_comma_free_table(2, 2)\n"
+        "import nyldon.oracle as oracle\n"
+        "right = oracle.nyldon_comma_free_classification\n"
+        "oracle.nyldon_comma_free_classification = lambda k, n: not right(k, n)\n"
+        "oracle.nyldon_comma_free_table(2, 2)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", child],

@@ -92,9 +92,12 @@ def test_cli_handlers_leave_the_exit_status_to_main():
 def test_rotation_scans_and_oracle_imports_stay_in_their_modules():
     # the list of every rotation is a brute-force reference: only oracle.py
     # defines or calls it, and only the CLI and the package's re-exports
-    # import oracle.  Two brute-force paths outside oracle stay because
-    # bench/ looks them up by module: conjugacy.nyldon_conjugate_bruteforce
-    # and codes.is_circular_bounded.
+    # import oracle.  Three references outside oracle stay on purpose:
+    # codes.in_code_star and conjugacy.nyldon_conjugate_bruteforce, which
+    # bench/ looks up by module (`conjugate --verify` also runs the second),
+    # and codes.nyldon_comma_free_classification, the closed-form answer
+    # the comma-free CLI path is to give.  bench/ also looks up the bounded
+    # search codes.is_circular_bounded by module.
     rotation_uses, oracle_imports = [], []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -115,3 +118,22 @@ def test_rotation_scans_and_oracle_imports_stay_in_their_modules():
                 oracle_imports.append(f"{path.name}:{node.lineno}")
     assert rotation_uses == [], f"rotations outside oracle.py: {', '.join(rotation_uses)}"
     assert oracle_imports == [], f"oracle imported outside cli.py and __init__.py: {', '.join(oracle_imports)}"
+
+
+def test_test_only_references_live_in_oracle():
+    # these have only test, demo, acceptance or benchmark-table callers, so
+    # they are references: oracle.py alone defines them, and the package
+    # still re-exports each, so `from nyldon import ...` keeps working
+    import nyldon
+
+    moved = {"apply_permutation", "reverse_permutation", "forbidden_prefix_family",
+             "nyldon_comma_free_table"}
+    homes = sorted(
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name in moved
+    )
+    assert homes == sorted(f"oracle.py:{name}" for name in moved)
+    for name in sorted(moved):
+        assert getattr(nyldon, name).__module__ == "nyldon.oracle", name
