@@ -27,6 +27,7 @@ from .codes import (
     is_comma_free_uniform,
     nyldon_code,
     nyldon_comma_free_classification,
+    nyldon_comma_free_verdict,
 )
 from .oracle import (
     apply_permutation,

@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 
-from .codes import is_circular_bounded, is_comma_free_uniform, nyldon_code
+from .codes import is_circular_bounded, nyldon_code, nyldon_comma_free_verdict
 from .conjugacy import melancon_nyldon_conjugate, nyldon_conjugate_bruteforce
 from .factorization import enumerate_nyldon, is_nyldon, nyldon_factorize
 from .lazard import lazard_eliminated, lazard_run
@@ -24,7 +24,9 @@ from .oracle import count_by_length, counting_bijection, necklace_count
 from .words import Alphabet, Word, _read_letters, _refuse_past, format_factorization
 
 # the most letters `powers` factorizes, the sum of e*|w| over e <= --max-exp;
-# the largest accepted call takes about 2 s
+# `powers 10 --max-exp 1224` takes about 0.6 s, but it bounds letters, not time:
+# factorizing is quadratic on run-heavy words, so w = 1 0^32767 at --max-exp 2
+# (98,304 letters) takes 5.8 s
 POWERS_BUDGET = 15 * 10 ** 5
 
 
@@ -105,25 +107,27 @@ def _cmd_lazard(args: argparse.Namespace) -> None:
         print(" ".join(alphabet.format(relabel(w)) for w in eliminated))
 
 
-def _cmd_codes(args: argparse.Namespace) -> None:
+def _cmd_comma_free(args: argparse.Namespace) -> None:
+    alphabet = Alphabet(args.k)
+    verdict = nyldon_comma_free_verdict(alphabet, args.n)
+    print(f"comma-free: {'yes' if verdict.holds else 'no'}")
+    if not verdict.holds:
+        u, x, v = verdict.witness  # uxv is two codewords, x astride them
+        message = u + x + v
+        print(f"witness: {alphabet.format(u)}({alphabet.format(x)}){alphabet.format(v)}"
+              f" = ({alphabet.format(message[:args.n])})({alphabet.format(message[args.n:])})")
+
+
+def _cmd_circular(args: argparse.Namespace) -> None:
     alphabet = Alphabet(args.k)
     code = nyldon_code(alphabet, args.n)
-    if args.check == "comma-free":
-        verdict = is_comma_free_uniform(code, args.n)
-        print(f"comma-free: {'yes' if verdict.holds else 'no'}")
-        if not verdict.holds:
-            u, x, v = verdict.witness  # uxv is two codewords, x astride them
-            message = u + x + v
-            print(f"witness: {alphabet.format(u)}({alphabet.format(x)}){alphabet.format(v)}"
-                  f" = ({alphabet.format(message[:args.n])})({alphabet.format(message[args.n:])})")
-    else:
-        bound = args.bound if args.bound is not None else 4 * args.n
-        verdict = is_circular_bounded(code, args.n, bound)
-        print(f"circular (bounded search, messages up to {bound} letters):"
-              f" {'yes' if verdict.holds else 'no'}")
-        if not verdict.holds:
-            u, v = verdict.witness
-            print(f"witness: u={alphabet.format(u)} v={alphabet.format(v)}")
+    bound = args.bound if args.bound is not None else 4 * args.n
+    verdict = is_circular_bounded(code, args.n, bound)
+    print(f"circular (bounded search, messages up to {bound} letters):"
+          f" {'yes' if verdict.holds else 'no'}")
+    if not verdict.holds:
+        u, v = verdict.witness
+        print(f"witness: u={alphabet.format(u)} v={alphabet.format(v)}")
 
 
 def _cmd_bijection(args: argparse.Namespace) -> None:
@@ -201,14 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("codes", help="code checks on the length-n Nyldon words")
     check = p.add_subparsers(dest="check", required=True)
-    for name in ("comma-free", "circular"):
+    for name, func in (("comma-free", _cmd_comma_free), ("circular", _cmd_circular)):
         q = check.add_parser(name)
         q.add_argument("-k", type=int, required=True)
         q.add_argument("-n", type=int, required=True, help="codeword length")
-        if name == "circular":
-            q.add_argument("--bound", type=int, default=None,
-                           help="largest total message length searched (default 4n)")
-        q.set_defaults(func=_cmd_codes)
+        q.set_defaults(func=func)
+    check.choices["circular"].add_argument("--bound", type=int, default=None,
+                                           help="largest total message length searched (default 4n)")
 
     p = sub.add_parser("bijection",
                        help="length-preserving map from non-Lyndon onto non-Nyldon words")

@@ -8,19 +8,24 @@ is decided exactly; circularity is searched up to a total message
 length, which decides it exactly once that length reaches n|C| and
 otherwise rules out short counterexamples only.  The search drops each
 message prefix that no cut survives, and its budget counts the messages
-it tries.
+it tries.  For the Nyldon codes themselves, comma-freeness has a closed
+form, witness included, so nyldon_comma_free_verdict enumerates and
+searches nothing.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-# is_nyldon is unused here, but bench/selftest.py checks that tracing rebinds it in this module
-from .factorization import _nyldon_by_length, is_nyldon  # noqa: F401
+from .factorization import _nyldon_by_length, is_nyldon
 from .words import Alphabet, Word, _refuse_past
 
 # the most messages is_circular_bounded will try; past it a search takes seconds to hours
 CIRCULAR_MESSAGE_BUDGET = 10 ** 5
+
+# the most letters a comma-free witness u, x, v may hold, 2n at codeword length n;
+# certifying it is quadratic in n, and the largest accepted call takes 2.1 s end to end
+COMMA_FREE_WITNESS_BUDGET = 4 * 10 ** 4
 
 
 class CodeVerdict(NamedTuple):
@@ -141,3 +146,46 @@ def nyldon_comma_free_classification(k: int, n: int) -> bool:
     so longer codes are empty); at length 2 only for two or three letters;
     at lengths 3 through 6 only for two letters; never past length 6."""
     return n == 1 or k == 1 or (n == 2 and k in (2, 3)) or (k == 2 and 3 <= n <= 6)
+
+
+def nyldon_comma_free_verdict(alphabet: Alphabet, n: int) -> CodeVerdict:
+    """is_comma_free_uniform(nyldon_code(alphabet, n), n), read off a
+    closed form: nothing is enumerated or searched.
+
+    The verdict is nyldon_comma_free_classification.  A code that is not
+    comma-free gets the witness (u, x, v) of one of three families, the
+    one the search reports wherever the enumeration budget lets it run:
+
+        k = 2, n >= 7:   101,  1 0^(n-4) 100,  1^(n-3)
+        k >= 3, n >= 3:  k-1,  1 0^(n-2) 1,    0 1^(n-2)
+        k >= 4, n = 2:   k-1,  21,             0
+
+    x and the two codewords uxv splits into are Nyldon: read right to
+    left, each word's runs stack up letter by letter until its first
+    letter merges them all into one factor.  Each answer still
+    certifies them with one is_nyldon sweep apiece (a word's Nyldon
+    factorization is unique, so one factor means a member) and raises
+    AssertionError, naming k and n, if one fails.  On these run-heavy
+    words a sweep is quadratic in n, from the tuples its merges copy
+    (0.55 s at n = 10,000 and 2.1 s at 20,000, in-process); a list head
+    in nyldon_factorize would make it linear.  So a witness of more than
+    COMMA_FREE_WITNESS_BUDGET letters raises ValueError before a letter
+    of it is built, and so does n < 1.
+    """
+    k = alphabet.size
+    what = f"a comma-free check with k={k} letters at length n={n}"
+    if n < 1:
+        raise ValueError(f"{what} needs n >= 1")
+    if nyldon_comma_free_classification(k, n):
+        return CodeVerdict(True)
+    _refuse_past(COMMA_FREE_WITNESS_BUDGET, [2 * n], what, "letters")
+    if k == 2:
+        u, x, v = (1, 0, 1), (1,) + (0,) * (n - 4) + (1, 0, 0), (1,) * (n - 3)
+    elif n >= 3:
+        u, x, v = (k - 1,), (1,) + (0,) * (n - 2) + (1,), (0,) + (1,) * (n - 2)
+    else:
+        u, x, v = (k - 1,), (2, 1), (0,)
+    message = u + x + v
+    if not (is_nyldon(x) and is_nyldon(message[:n]) and is_nyldon(message[n:])):
+        raise AssertionError(f"the comma-free witness family fails at k={k}, n={n}")
+    return CodeVerdict(False, (u, x, v))

@@ -28,7 +28,11 @@ def nyldon_factorize(w: Word) -> tuple[Word, ...]:
     seen so far.  Each new letter is prepended as a one-letter factor;
     then, while the list has at least two factors and the head is
     lexicographically greater than its successor, the two are merged.
-    Worst case O(|w|**2) letter comparisons.
+    Worst case O(|w|**2) time, from the letters each merge copies into a
+    new tuple: 1 0^(n-1) copies about n**2/2 of them.  The comparisons
+    are not the quadratic term: they read 2 to 4.4 letters per letter of
+    w on random binary and 4-ary words and on run-heavy ones, measured
+    at 1,000 to 16,000 letters.
 
     >>> nyldon_factorize((1, 0, 1, 0, 0))
     ((1, 0), (1, 0, 0))

@@ -1,7 +1,9 @@
 """Shared fixtures: exhaustive membership tables reused across files,
 and the environment for tests that run this checkout in a fresh
-interpreter.  Also caps the address space of the test process."""
+interpreter.  Also caps the address space of the test process and the
+run time of the session."""
 
+import faulthandler
 import os
 from pathlib import Path
 
@@ -24,6 +26,17 @@ if resource is not None:
     _soft, _hard = resource.getrlimit(resource.RLIMIT_AS)
     if _soft == resource.RLIM_INFINITY or _soft > ADDRESS_SPACE_CAP:  # lower it, never raise it
         resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, _hard))
+
+# the suite takes under half a minute; a loop that never ends (a slip in
+# Duval's step can make one) dumps every thread's traceback and exits 1
+# at this many seconds instead of stalling the run
+SESSION_SECONDS_CAP = 600
+
+
+def pytest_configure(config):
+    # pytest captures fd 2 while a test runs, so the dump goes to a copy of
+    # the stderr that pytest reports to, taken here, while nothing captures it
+    faulthandler.dump_traceback_later(SESSION_SECONDS_CAP, exit=True, file=os.dup(2))
 
 
 @pytest.fixture(scope="session")

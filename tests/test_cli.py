@@ -31,6 +31,8 @@ def test_factorize(capsys):
     assert run(capsys, "factorize", "1001", "--family", "lyndon") == (
         0, "1|001\n", "",
     )
+    # the letter 9 implies ten letters, which still print as digits
+    assert run(capsys, "factorize", "91") == (0, "91\n", "")
 
 
 def test_factorize_json(capsys):
@@ -249,6 +251,32 @@ def test_codes_comma_free_yes(capsys):
 def test_codes_comma_free_witness(capsys):
     code, out, err = run(capsys, "codes", "comma-free", "-k", "4", "-n", "2")
     assert (code, out) == (0, "comma-free: no\nwitness: 3(21)0 = (32)(10)\n")
+    # one row per witness family, at lengths no enumeration reaches
+    for k, n, witness in (
+        ("2", 1000, f"101(1{'0' * 996}100){'1' * 997} = (1011{'0' * 996})(100{'1' * 997})"),
+        ("7", 500, f"6(1{'0' * 498}1)0{'1' * 498} = (61{'0' * 498})(10{'1' * 498})"),
+        ("1000000000", 2, "999999999(2,1)0 = (999999999,2)(1,0)"),
+    ):
+        assert run(capsys, "codes", "comma-free", "-k", k, "-n", str(n)) == (
+            0, f"comma-free: no\nwitness: {witness}\n", "",
+        ), (k, n)
+    # a comma-free code needs no witness at any size
+    for k, n in (("1", "1000000"), ("1000000000", "1")):
+        assert run(capsys, "codes", "comma-free", "-k", k, "-n", n) == (0, "comma-free: yes\n", "")
+
+
+def test_codes_comma_free_enumerates_and_searches_nothing(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the comma-free path enumerated or searched a code")
+
+    for module in ("nyldon.cli", "nyldon.codes"):
+        for name in ("nyldon_code", "is_comma_free_uniform"):
+            monkeypatch.setattr(f"{module}.{name}", refuse, raising=False)
+    for k in (1, 2, 3, 4, 7, 10 ** 9):
+        for n in (1, 2, 3, 6, 7, 100, 1000):
+            code, out, err = run(capsys, "codes", "comma-free", "-k", str(k), "-n", str(n))
+            assert (code, err) == (0, ""), (k, n)
+            assert out.startswith("comma-free: "), (k, n)
 
 
 def test_codes_circular(capsys):
@@ -307,6 +335,12 @@ def test_bijection_rows(capsys):
 def test_powers(capsys):
     code, out, err = run(capsys, "powers", "10", "--max-exp", "3")
     assert (code, out) == (0, "1 10\n2 10|10\n3 10|10|10\n")
+    # README's largest accepted exponents: |w|*E(E+1)/2 is 1,499,400 and
+    # 1,499,046 letters, one more row passes 1,500,000 (refused below)
+    for word, max_exp in (("10", 1224), ("1", 1731)):
+        code, out, err = run(capsys, "powers", word, "--max-exp", str(max_exp))
+        assert (code, err) == (0, "") and out.count("\n") == max_exp, word
+        assert out.endswith(f"\n{max_exp} {'|'.join([word] * max_exp)}\n"), word
 
 
 def test_empty_word_is_a_domain_error(capsys):
@@ -341,7 +375,9 @@ def test_sizes_below_one_are_domain_errors(capsys):
         (["lazard", "--side", "left", "--select", "min", "-k", "2", "-n", "0", "--trace"],
          "enumerating Lyndon words " + below.format(0)),
         (["codes", "comma-free", "-k", "2", "-n", "0"],
-         "enumerating Nyldon words " + below.format(0)),
+         "a comma-free check with k=2 letters at length n=0 needs n >= 1"),
+        (["codes", "circular", "-k", "2", "-n", "-1"],
+         "enumerating Nyldon words " + below.format(-1)),
         (["powers", "10", "--max-exp", "0"],
          "factorizing w^1..w^0 with |w|=2 needs --max-exp >= 1"),
         (["powers", "10", "--max-exp", "-1"],
@@ -431,6 +467,11 @@ def test_codes_circular_refuses_work_past_its_budget(tmp_path, checkout_env):
       "reverse"], ("k=1000000000", "n=2", "300000 words")),
     (["lazard", "--side", "left", "--select", "max", "-k", "1000000000", "-n", "2", "--perm",
       "reverse"], ("k=1000000000", "n=2", "300000 words")),
+    # README's first refused exponents
+    (["powers", "10", "--max-exp", "1225"], ("|w|=2", "w^1225", "1500000 letters")),
+    (["powers", "1", "--max-exp", "1732"], ("|w|=1", "w^1732", "1500000 letters")),
+    # a witness holds 2n letters, refused before the first of them is built
+    (["codes", "comma-free", "-k", "2", "-n", "1000000000"], ("k=2", "n=1000000000", "40000 letters")),
 ])
 def test_size_commands_refuse_work_past_their_budgets(tmp_path, checkout_env, argv, names):
     # each of these would run for hours or exhaust memory; the command
@@ -532,7 +573,7 @@ def test_readme_examples_print_what_the_readme_shows(capsys):
 def test_readme_budget_list_names_every_budget():
     # the bullet list under README's CLI section states each budget, comma-grouped
     from nyldon.cli import POWERS_BUDGET
-    from nyldon.codes import CIRCULAR_MESSAGE_BUDGET
+    from nyldon.codes import CIRCULAR_MESSAGE_BUDGET, COMMA_FREE_WITNESS_BUDGET
     from nyldon.lazard import LAZARD_BUDGET
     from nyldon.oracle import BIJECTION_BUDGET
     from nyldon.words import ENUMERATION_BUDGET
@@ -541,5 +582,5 @@ def test_readme_budget_list_names_every_budget():
     cli_section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
     bullets = "".join(re.findall(r"^(?:- |  ).*\n", cli_section, re.M))
     for budget in (ENUMERATION_BUDGET, BIJECTION_BUDGET, LAZARD_BUDGET,
-                   CIRCULAR_MESSAGE_BUDGET, POWERS_BUDGET):
+                   CIRCULAR_MESSAGE_BUDGET, COMMA_FREE_WITNESS_BUDGET, POWERS_BUDGET):
         assert f"{budget:,}" in bullets, budget

@@ -14,14 +14,16 @@ from nyldon import (
     is_circular_bounded,
     is_comma_free_definitional,
     is_comma_free_uniform,
+    is_nyldon,
     is_primitive,
     nyldon_code,
     nyldon_comma_free_classification,
     nyldon_comma_free_table,
+    nyldon_comma_free_verdict,
     rotations,
 )
 
-from nyldon.codes import CIRCULAR_MESSAGE_BUDGET
+from nyldon.codes import CIRCULAR_MESSAGE_BUDGET, COMMA_FREE_WITNESS_BUDGET
 
 from golden import (
     COMMA_FREE_ALT_TRIPLE_K2_N7,
@@ -109,6 +111,63 @@ def test_table_matches_the_classification():
     assert len(table) == 3 * 7
     for (k, n), holds in table.items():
         assert holds == nyldon_comma_free_classification(k, n)
+    # one entry per alphabet size at length 1 alone, and every one-letter code is comma-free
+    assert nyldon_comma_free_table(4, 1) == {(2, 1): True, (3, 1): True, (4, 1): True}
+
+
+def test_the_closed_form_verdict_is_the_search_verdict():
+    # holds and witness both, at every size with k**n <= 2**19 the
+    # enumeration admits (204 codes, about 2 s)
+    compared = set()
+    for k in range(1, 41):
+        n = 1
+        while k ** n <= 2 ** 19 and n <= 19:
+            a = Alphabet(k)
+            assert nyldon_comma_free_verdict(a, n) == is_comma_free_uniform(code(k, n), n), (k, n)
+            compared.add((k, n))
+            n += 1
+    assert len(compared) == 204 and {(2, 19), (3, 11), (4, 9), (8, 6), (40, 3)} <= compared
+    # the three golden witnesses, one per family
+    assert nyldon_comma_free_verdict(Alphabet(2), 7).witness == COMMA_FREE_WITNESS_K2_N7
+    assert nyldon_comma_free_verdict(Alphabet(3), 3).witness == COMMA_FREE_WITNESS_K3_N3
+    assert nyldon_comma_free_verdict(Alphabet(4), 2).witness == COMMA_FREE_WITNESS_K4_N2
+
+
+def test_the_closed_form_verdict_answers_past_the_enumeration_budget():
+    # the comma-free codes need no witness, so no length is too large for them
+    for k, n in ((1, 10 ** 9), (10 ** 9, 1), (2, 6), (3, 2)):
+        assert nyldon_comma_free_verdict(Alphabet(k), n) == (True, None)
+    # a witness is two codewords with x astride them, for codes no enumeration reaches
+    for k, n in ((2, 22), (2, 1000), (3, 14), (7, 500), (10 ** 9, 2), (10 ** 9, 3)):
+        u, x, v = nyldon_comma_free_verdict(Alphabet(k), n).witness
+        message = u + x + v
+        assert 0 < len(u) < n and len(x) == n and len(message) == 2 * n, (k, n)
+        assert all(map(is_nyldon, (x, message[:n], message[n:]))), (k, n)
+
+
+def test_the_closed_form_verdict_refuses_a_witness_past_its_budget(monkeypatch):
+    # the witness holds 2n letters, charged before any of them is built
+    monkeypatch.setattr("nyldon.codes.COMMA_FREE_WITNESS_BUDGET", 14)
+    assert not nyldon_comma_free_verdict(Alphabet(2), 7).holds
+    monkeypatch.setattr("nyldon.codes.COMMA_FREE_WITNESS_BUDGET", 13)
+    with pytest.raises(ValueError, match="comma-free check with k=2 letters at length n=7 needs"
+                       " more than the budget of 13 letters"):
+        nyldon_comma_free_verdict(Alphabet(2), 7)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=f"k=3 .* n=1000000000 .* {COMMA_FREE_WITNESS_BUDGET} letters"):
+        nyldon_comma_free_verdict(Alphabet(3), 10 ** 9)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"k=2 letters at length n={n} needs n >= 1"):
+            nyldon_comma_free_verdict(Alphabet(2), n)
+
+
+def test_a_witness_that_fails_its_certificate_raises(monkeypatch):
+    # each witness is checked as it is made, x and both codewords of 101(1000100)1111,
+    # so a family that stopped holding for one of them cannot print
+    for word in ("1000100", "1011000", "1001111"):
+        monkeypatch.setattr("nyldon.codes.is_nyldon", lambda v, bad=w(word): v != bad)
+        with pytest.raises(AssertionError, match="k=2, n=7"):
+            nyldon_comma_free_verdict(Alphabet(2), 7)
 
 
 def test_nyldon_codes_are_circular_at_the_exact_bound():

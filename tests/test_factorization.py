@@ -182,9 +182,13 @@ def test_ternary_members_start_with_10_20_or_21():
 
 def test_forbidden_prefix_pins():
     assert is_forbidden_prefix_upto(w("1010"), 12, A2)
-    # 1011011 is Nyldon, so 101101 is not forbidden
+    # 1011011 is Nyldon, so 101101 is not forbidden; the square 101101
+    # itself is not, so up to its own length it is
     assert not is_forbidden_prefix_upto(w("101101"), 7, A2)
+    assert is_forbidden_prefix_upto(w("101101"), 6, A2)
     assert not is_forbidden_prefix_upto(w("10"), 7, A2)
+    # a bound of the prefix's own length still tests the prefix itself
+    assert not is_forbidden_prefix_upto(w("10"), 2, A2)
 
 
 def test_forbidden_prefix_errors():
@@ -200,6 +204,8 @@ def test_family_instances():
     assert forbidden_prefix_family(0, 2) == w("11011")
     assert forbidden_prefix_family(1, 3) == w("1011011")
     assert forbidden_prefix_family(0, 4) == w("10011011")
+    for k in range(5):
+        assert forbidden_prefix_family(k, 2) == (1,) + (0,) * k + (1, 0, 1, 1)
 
 
 def test_family_rejects_bad_arguments():

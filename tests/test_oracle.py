@@ -126,6 +126,16 @@ def test_bijection_properties():
             )
 
 
+def test_bijection_budget_counts_every_word_up_to_the_length(monkeypatch):
+    # 2 + 4 + 8 + 16 = 30 binary words of length at most 4: a budget of
+    # exactly that answers, and one word less refuses
+    monkeypatch.setattr("nyldon.oracle.BIJECTION_BUDGET", 30)
+    assert counting_bijection(A2, 4) == COUNTING_MAP_LEN4
+    monkeypatch.setattr("nyldon.oracle.BIJECTION_BUDGET", 29)
+    with pytest.raises(ValueError, match="k=2 letters at length n=4 needs more than the budget of 29 words"):
+        counting_bijection(A2, 4)
+
+
 def test_bijection_needs_length_two():
     with pytest.raises(ValueError):
         counting_bijection(A2, 1)

@@ -96,7 +96,7 @@ def test_rotation_scans_and_oracle_imports_stay_in_their_modules():
     # codes.in_code_star and conjugacy.nyldon_conjugate_bruteforce, which
     # bench/ looks up by module (`conjugate --verify` also runs the second),
     # and codes.nyldon_comma_free_classification, the closed-form answer
-    # the comma-free CLI path is to give.  bench/ also looks up the bounded
+    # the comma-free CLI path gives.  bench/ also looks up the bounded
     # search codes.is_circular_bounded by module.
     rotation_uses, oracle_imports = [], []
     for path in sorted(SRC.glob("*.py")):
