@@ -35,7 +35,7 @@ def main() -> None:
 
     print()
     code = nyldon_code(Alphabet(2), 4)
-    verdict = is_circular_bounded(code, 4)
+    verdict = is_circular_bounded(code, 4, 16)
     print("binary length-4 code circular on bounded messages?",
           "yes" if verdict.holds else "no")
     verdict = is_circular_bounded({(0, 1, 0, 1)}, 4, 8)

@@ -18,7 +18,6 @@ from .lazard import (
     LazardTrace,
     lazard_eliminated,
     lazard_run,
-    lazard_stepcount_nyldon,
 )
 from .codes import (
     CodeVerdict,
@@ -38,10 +37,13 @@ from .oracle import (
     forbidden_prefix_family,
     is_comma_free_definitional,
     is_forbidden_prefix_upto,
+    lazard_stepcount_nyldon,
     necklace_count,
     nyldon_comma_free_table,
     recursive_is_lyndon,
     recursive_is_nyldon,
     reverse_permutation,
     rotations,
+    words_of_length,
+    words_upto,
 )

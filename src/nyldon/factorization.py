@@ -125,14 +125,20 @@ def standard_factorization(w: Word) -> tuple[Word, Word]:
 
     The left part is then itself Nyldon and lexicographically greater
     than the right part; among all such splits this is the canonical
-    one.
+    one.  One sweep finds it: nyldon_factorize reads w[1:] first, then
+    w[0], whose head must merge with every factor of w[1:] in turn for
+    w to be Nyldon, and the last factor merged is the right part.
 
     >>> standard_factorization((1, 0, 0))
     ((1, 0), (0,))
     """
     if len(w) < 2:
         raise ValueError("standard factorization needs length >= 2")
-    if not is_nyldon(w):
-        raise ValueError("not a Nyldon word")
-    right = longest_nyldon_suffix(w, proper=True)
+    factors = nyldon_factorize(w[1:])
+    head = w[:1]
+    for f in factors:
+        if not head > f:
+            raise ValueError("not a Nyldon word")
+        head += f
+    right = factors[-1]
     return w[: len(w) - len(right)], right

@@ -27,7 +27,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Iterator, NamedTuple
 
-from .factorization import _nyldon_by_length, enumerate_nyldon, nyldon_factorize
+from .factorization import enumerate_nyldon, nyldon_factorize
 from .lyndon import _lyndon_words, lyndon_factorize
 from .words import Alphabet, Word, _refuse_past
 
@@ -134,20 +134,3 @@ def lazard_run(side: str, selector: str, alphabet: Alphabet, max_len: int) -> La
         pool.update(born.get(j, ()))
     return LazardTrace(tuple(steps))
 
-
-def lazard_stepcount_nyldon(alphabet: Alphabet, max_len: int) -> tuple[int, int]:
-    """How early the right/min elimination has produced the Nyldon words
-    of length <= max_len: (j, c), where c counts them and j is the least
-    step by which each has been eliminated or lies in the working set.
-
-    The run eliminates the Nyldon words in increasing order, step s the
-    word of rank s, and a word with standard factorization u.v enters
-    the working set when v is eliminated, at step rank(v) + 1.  So j is
-    1 + the rank of the greatest right part _nyldon_by_length records:
-    a letter's is the empty word, ranked 0.  No run is needed.  Raises
-    ValueError for max_len < 1 or past ENUMERATION_BUDGET.
-    """
-    groups = _nyldon_by_length(alphabet, max_len)
-    words = [w for group in groups for w in group]
-    last = max(v for group in groups for v in group.values())
-    return 1 + sum(w <= last for w in words), len(words)

@@ -3,16 +3,19 @@
 Everything here recomputes from first principles what lyndon.py,
 factorization.py and codes.py compute by algorithm: membership straight
 from the recursive definitions, factorizations by exhaustive search
-over split points, the two enumerations by filtering all k**n words,
-the per-length counts as aperiodic necklaces by the word-count identity
+over split points, the two enumerations by filtering all k**n words
+(words_of_length and words_upto, the package's only such scans), the
+per-length counts as aperiodic necklaces by the word-count identity
 k**n = sum of d * count(d) over d | n, the rank-matching bijection
 between non-Lyndon and non-Nyldon words of a fixed length, forbidden
 prefixes by trying every extension, comma-freeness by cutting every
 short message, and conjugacy classes by listing every rotation.  It
 also holds what only the tests, the demos and the benchmark's table
 call: letter relabelings (apply_permutation, reverse_permutation), the
-four closed-form forbidden-prefix families, and the computed comma-free
-table, checked against codes' closed-form classification.  Tests pit
+four closed-form forbidden-prefix families, the computed comma-free
+table, checked against codes' closed-form classification, and the step
+by which the right/min Lazard run has produced every Nyldon word
+(lazard_stepcount_nyldon), read off the generator's right parts.  Tests pit
 the two sides against each other.  The CLI also uses three functions
 from here: count_by_length for `count` (the sizes of the generators'
 length groups), necklace_count for `count --check-formula`, and
@@ -47,6 +50,18 @@ def rotations(w: Word) -> list[Word]:
     if not w:
         raise ValueError("the empty word has no rotations")
     return [w[i:] + w[:i] for i in range(len(w))]
+
+
+def words_of_length(alphabet: Alphabet, n: int) -> Iterator[Word]:
+    """All k**n words of length n over the alphabet, in lexicographic order."""
+    return product(alphabet.letters(), repeat=n)
+
+
+def words_upto(alphabet: Alphabet, max_len: int) -> Iterator[Word]:
+    """All nonempty words of length <= max_len, shortest first,
+    lexicographic within each length."""
+    for n in range(1, max_len + 1):
+        yield from words_of_length(alphabet, n)
 
 
 def apply_permutation(perm: Sequence[int], w: Word) -> Word:
@@ -192,7 +207,7 @@ def enumerate_by_filter(family: str, alphabet: Alphabet, max_len: int) -> list[W
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     member = _by_family(family, is_lyndon, is_nyldon)
-    return [w for w in alphabet.words_upto(max_len) if member(w)]
+    return [w for w in words_upto(alphabet, max_len) if member(w)]
 
 
 def count_by_length(family: str, alphabet: Alphabet, n_max: int) -> list[int]:
@@ -202,6 +217,24 @@ def count_by_length(family: str, alphabet: Alphabet, n_max: int) -> list[int]:
     ENUMERATION_BUDGET."""
     by_length = _by_family(family, _lyndon_by_length, _nyldon_by_length)
     return [len(group) for group in by_length(alphabet, n_max)[1:]]
+
+
+def lazard_stepcount_nyldon(alphabet: Alphabet, max_len: int) -> tuple[int, int]:
+    """How early the right/min elimination has produced the Nyldon words
+    of length <= max_len: (j, c), where c counts them and j is the least
+    step by which each has been eliminated or lies in the working set.
+
+    The run eliminates the Nyldon words in increasing order, step s the
+    word of rank s, and a word with standard factorization u.v enters
+    the working set when v is eliminated, at step rank(v) + 1.  So j is
+    1 + the rank of the greatest right part _nyldon_by_length records:
+    a letter's is the empty word, ranked 0.  No run is needed.  Raises
+    ValueError for max_len < 1 or past ENUMERATION_BUDGET.
+    """
+    groups = _nyldon_by_length(alphabet, max_len)
+    words = [w for group in groups for w in group]
+    last = max(v for group in groups for v in group.values())
+    return 1 + sum(w <= last for w in words), len(words)
 
 
 def counting_bijection(alphabet: Alphabet, n: int) -> dict[Word, Word]:
@@ -238,7 +271,7 @@ def counting_bijection(alphabet: Alphabet, n: int) -> dict[Word, Word]:
         rank_image.update(zip(reversed(lyndon[d]), nyldon[d]))
 
     mapping: dict[Word, Word] = {}
-    for w in alphabet.words_of_length(n):
+    for w in words_of_length(alphabet, n):
         factors = lyndon_factorize(w)
         if len(factors) == 1:
             continue
@@ -294,7 +327,7 @@ def is_forbidden_prefix_upto(prefix: Word, max_len: int, alphabet: Alphabet) -> 
         raise ValueError("max_len must be at least the prefix length")
     alphabet.validate(prefix)
     for extra in range(max_len - len(prefix) + 1):
-        for tail in alphabet.words_of_length(extra):
+        for tail in words_of_length(alphabet, extra):
             if is_nyldon(prefix + tail):
                 return False
     return True

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
 
@@ -94,16 +94,6 @@ class Alphabet(namedtuple("Alphabet", "size")):
         for a in w:
             if not 0 <= a < self.size:
                 raise ValueError(f"letter {a!r} outside alphabet of size {self.size}")
-
-    def words_of_length(self, n: int) -> Iterator[Word]:
-        """All size**n words of length n, in lexicographic order."""
-        return itertools.product(self.letters(), repeat=n)
-
-    def words_upto(self, max_len: int) -> Iterator[Word]:
-        """All nonempty words of length <= max_len, shortest first,
-        lexicographic within each length."""
-        for n in range(1, max_len + 1):
-            yield from self.words_of_length(n)
 
     def parse(self, text: str) -> Word:
         """Read a word from text; inverse of format().

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nyldon import Alphabet, is_lyndon, is_nyldon
+from nyldon import Alphabet, is_lyndon, is_nyldon, words_upto
 
 try:
     import resource
@@ -54,9 +54,9 @@ def checkout_env():
 @pytest.fixture(scope="session")
 def binary_nyldon_upto_12():
     """Every binary word of length 1..12 mapped to its Nyldon status."""
-    return {w: is_nyldon(w) for w in BINARY.words_upto(12)}
+    return {w: is_nyldon(w) for w in words_upto(BINARY, 12)}
 
 
 @pytest.fixture(scope="session")
 def binary_lyndon_upto_12():
-    return {w: is_lyndon(w) for w in BINARY.words_upto(12)}
+    return {w: is_lyndon(w) for w in words_upto(BINARY, 12)}

@@ -31,6 +31,7 @@ from nyldon import (
     reverse_permutation,
     rotations,
     standard_factorization,
+    words_upto,
 )
 from nyldon.cli import main
 
@@ -87,7 +88,7 @@ def test_02_per_length_counts_to_14():
 def test_03_factorization_is_unique_up_to_length_10():
     t0 = time.perf_counter()
     checked = 0
-    for v in A2.words_upto(10):
+    for v in words_upto(A2, 10):
         found = exhaustive_factorizations(v, "nyldon")
         assert found == [nyldon_factorize(v)]
         checked += 1
@@ -103,7 +104,7 @@ def test_04_recursive_definition_agreement(binary_nyldon_upto_12):
         assert recursive_is_nyldon(v) == member
     a3 = Alphabet(3)
     ternary = 0
-    for v in a3.words_upto(8):
+    for v in words_upto(a3, 8):
         assert recursive_is_nyldon(v) == is_nyldon(v)
         ternary += 1
     assert ternary == 9840
@@ -131,7 +132,7 @@ def test_05_nyldon_suffixes_are_smaller(binary_nyldon_upto_12):
 def test_06_unique_nyldon_rotation_and_fast_conjugate(binary_nyldon_upto_12):
     t0 = time.perf_counter()
     classes = 0
-    for v in A2.words_upto(12):
+    for v in words_upto(A2, 12):
         if not is_primitive(v):
             continue
         rots = rotations(v)

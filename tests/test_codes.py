@@ -218,7 +218,7 @@ def test_definitional_witnesses_revalidate():
 
 
 def test_circular_single_codeword_cases():
-    assert is_circular_bounded({w("10")}, 2).holds
+    assert is_circular_bounded({w("10")}, 2, 8).holds
     verdict = is_circular_bounded({w("0101")}, 4, 8)
     assert not verdict.holds
     assert verdict.witness == (w("01"), w("01"))
@@ -233,21 +233,21 @@ def test_comma_free_codes_here_are_circular():
 
 def test_circular_search_refuses_past_its_budget():
     # 18 codewords: 27 of the 324 two-block messages survive and none of
-    # their extensions, so 828 messages decide it at the default bound
-    assert is_circular_bounded(code(3, 4), 4).holds
+    # their extensions, so 828 messages decide it at the CLI's bound of 4n
+    assert is_circular_bounded(code(3, 4), 4, 16).holds
     # 99 codewords: 1,776 two-block survivors would take three blocks to
     # 185,724 messages, past the budget
     with pytest.raises(ValueError, match="99 codewords of length 10 up to 40 letters needs more"
                        " than the budget of 100000 messages"):
-        is_circular_bounded(code(2, 10), 10)
+        is_circular_bounded(code(2, 10), 10, 40)
     # each other refusal left is one the unpruned search, trying all sum |C|^b
-    # messages of up to four blocks at the default bound, made too
+    # messages of up to four blocks at the CLI's bound of 4n, made too
     for k, n in ((2, 11), (3, 6), (3, 7), (4, 5), (5, 4), (6, 3), (20, 2)):
         c = code(k, n)
         with pytest.raises(ValueError, match=f"{len(c)} codewords .* budget of 100000 messages"):
-            is_circular_bounded(c, n)
+            is_circular_bounded(c, n, 4 * n)
         assert sum(len(c) ** b for b in range(1, 5)) > CIRCULAR_MESSAGE_BUDGET
-    assert is_circular_bounded(code(3, 3), 3).holds
+    assert is_circular_bounded(code(3, 3), 3, 12).holds
     # the empty code parses only the empty message, at any bound
     assert is_circular_bounded(set(), 2, 10 ** 9).holds
     # 2 codewords need at most 2 blocks, however long the bound
@@ -341,7 +341,7 @@ def test_circular_search_matches_the_definition():
     for k, n in [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 4)]:
         c = code(k, n)
         assert circular_definitional(c, n, 4 * n, most=5000) is None
-        assert is_circular_bounded(c, n) == (True, None)
+        assert is_circular_bounded(c, n, 4 * n) == (True, None)
 
 
 def test_circular_bound_validation():

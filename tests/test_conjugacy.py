@@ -20,6 +20,7 @@ from nyldon import (
     necklace_count,
     nyldon_conjugate_bruteforce,
     rotations,
+    words_upto,
 )
 
 from golden import NYLDON_23, POWER_BASE_WORD, w
@@ -50,7 +51,7 @@ def test_non_primitive_inputs_rejected():
 
 def test_methods_agree_on_primitive_words():
     for k, n in ((2, 12), (3, 8), (4, 6)):
-        for v in Alphabet(k).words_upto(n):
+        for v in words_upto(Alphabet(k), n):
             if is_primitive(v):
                 assert melancon_nyldon_conjugate(v) == nyldon_conjugate_bruteforce(v)
 
@@ -129,13 +130,13 @@ def test_melancon_on_the_adversarial_families():
 
 
 def test_exactly_one_nyldon_rotation_per_class(binary_nyldon_upto_12):
-    for v in A2.words_upto(11):
+    for v in words_upto(A2, 11):
         if is_primitive(v) and v == min(rotations(v)):
             assert sum(binary_nyldon_upto_12[r] for r in rotations(v)) == 1
 
 
 def test_powers_are_never_nyldon():
-    for u in A2.words_upto(7):
+    for u in words_upto(A2, 7):
         for m in range(2, 15):
             if len(u) * m > 14:
                 break

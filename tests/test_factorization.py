@@ -13,9 +13,12 @@ from nyldon import (
     forbidden_prefix_family,
     is_forbidden_prefix_upto,
     is_nyldon,
+    is_primitive,
     longest_nyldon_suffix,
+    melancon_nyldon_conjugate,
     nyldon_factorize,
     standard_factorization,
+    words_upto,
 )
 
 from golden import BINARY_COUNTS_1_14, NYLDON_UPTO_7, factors, w
@@ -40,7 +43,7 @@ def test_factorize_rejects_empty():
 
 def test_factorize_properties(binary_nyldon_upto_12):
     # concatenation identity, factors Nyldon, nondecreasing order
-    for v in A2.words_upto(12):
+    for v in words_upto(A2, 12):
         fs = nyldon_factorize(v)
         assert sum(fs, ()) == v
         assert all(binary_nyldon_upto_12[f] for f in fs)
@@ -85,12 +88,12 @@ def test_longest_suffix_pins():
 
 
 def test_longest_suffix_is_the_last_factor():
-    for v in A2.words_upto(10):
+    for v in words_upto(A2, 10):
         assert longest_nyldon_suffix(v) == nyldon_factorize(v)[-1]
 
 
 def test_proper_suffix_is_the_first_nyldon_suffix():
-    for v in itertools.chain(A2.words_upto(12), Alphabet(3).words_upto(8)):
+    for v in itertools.chain(words_upto(A2, 12), words_upto(Alphabet(3), 8)):
         if len(v) >= 2:
             scan = next(v[i:] for i in range(1, len(v)) if is_nyldon(v[i:]))
             assert longest_nyldon_suffix(v, proper=True) == scan
@@ -159,6 +162,28 @@ def test_standard_factorization_properties(binary_nyldon_upto_12):
             assert binary_nyldon_upto_12[p] and binary_nyldon_upto_12[s]
             assert p > s
             assert s == longest_nyldon_suffix(v, proper=True)
+
+
+long_words = st.integers(2, 4).flatmap(
+    lambda k: st.lists(st.integers(0, k - 1), min_size=100, max_size=3000).map(tuple)
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(long_words.filter(is_primitive).map(melancon_nyldon_conjugate))
+def test_long_standard_factorization_splits_at_the_longest_proper_suffix(v):
+    p, s = standard_factorization(v)
+    assert p + s == v
+    assert is_nyldon(p)
+    assert p > s
+    assert s == longest_nyldon_suffix(v, proper=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(long_words.filter(lambda v: not is_nyldon(v)))
+def test_long_non_nyldon_words_have_no_standard_factorization(v):
+    with pytest.raises(ValueError, match="not a Nyldon word"):
+        standard_factorization(v)
 
 
 def test_standard_factorization_rejects_bad_input():

@@ -16,6 +16,7 @@ from nyldon import (
     lyndon_factorize,
     recursive_is_lyndon,
     rotations,
+    words_upto,
 )
 
 from golden import BINARY_COUNTS_1_14, LYNDON_UPTO_7, factors, w
@@ -64,7 +65,7 @@ def test_factorization_rejects_empty():
 
 def test_factorization_properties(binary_lyndon_upto_12):
     # concatenation identity, factors Lyndon, nonincreasing order
-    for v in A2.words_upto(12):
+    for v in words_upto(A2, 12):
         fs = lyndon_factorize(v)
         assert sum(fs, ()) == v
         assert all(binary_lyndon_upto_12[f] for f in fs)
@@ -77,10 +78,10 @@ def test_single_factor_iff_member(binary_lyndon_upto_12):
 
 
 def test_recursive_oracle_agreement_small():
-    for v in A2.words_upto(9):
+    for v in words_upto(A2, 9):
         assert is_lyndon(v) == recursive_is_lyndon(v)
     a3 = Alphabet(3)
-    for v in a3.words_upto(6):
+    for v in words_upto(a3, 6):
         assert is_lyndon(v) == recursive_is_lyndon(v)
 
 
@@ -104,7 +105,7 @@ def test_conjugate_rejects_non_primitive():
 
 def test_conjugate_is_the_lyndon_rotation():
     for v in itertools.chain(
-        A2.words_upto(12), Alphabet(3).words_upto(8), Alphabet(4).words_upto(6)
+        words_upto(A2, 12), words_upto(Alphabet(3), 8), words_upto(Alphabet(4), 6)
     ):
         if is_primitive(v):
             c = lyndon_conjugate(v)

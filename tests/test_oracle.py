@@ -15,6 +15,8 @@ from nyldon import (
     nyldon_factorize,
     recursive_is_lyndon,
     recursive_is_nyldon,
+    words_of_length,
+    words_upto,
 )
 
 from golden import BINARY_COUNTS_1_14, COUNTING_MAP_LEN4, w
@@ -38,7 +40,7 @@ def test_recursive_membership_rejects_empty():
 
 
 def test_recursive_agrees_with_production_small():
-    for v in A2.words_upto(8):
+    for v in words_upto(A2, 8):
         assert recursive_is_nyldon(v) == is_nyldon(v)
         assert recursive_is_lyndon(v) == is_lyndon(v)
 
@@ -59,7 +61,7 @@ def test_exhaustive_factorization_pins():
 
 
 def test_exhaustive_search_finds_exactly_one_small():
-    for v in (*A2.words_upto(10), *Alphabet(3).words_upto(6)):
+    for v in (*words_upto(A2, 10), *words_upto(Alphabet(3), 6)):
         assert exhaustive_factorizations(v, "nyldon") == [nyldon_factorize(v)]
         assert exhaustive_factorizations(v, "lyndon") == [lyndon_factorize(v)]
 
@@ -114,10 +116,10 @@ def test_bijection_properties():
         assert list(m) == sorted(m)  # `nyldon bijection` prints in this order
         assert len(set(m.values())) == len(m)  # injective
         assert set(m) == {
-            v for v in A2.words_of_length(n) if not is_lyndon(v)
+            v for v in words_of_length(A2, n) if not is_lyndon(v)
         }
         assert set(m.values()) == {
-            v for v in A2.words_of_length(n) if not is_nyldon(v)
+            v for v in words_of_length(A2, n) if not is_nyldon(v)
         }
         # factor-length multisets carry over
         for src, dst in m.items():

@@ -24,18 +24,18 @@ def test_no_bare_asserts():
 
 
 def test_no_exhaustive_word_scans_in_production():
-    # filtering all k**n words belongs to the oracle; production code
-    # builds the words it needs
+    # filtering all k**n words belongs to the oracle, which alone defines
+    # the two scans; production code builds the words it needs
     scans = {"words_of_length", "words_upto"}
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
-        if path.name not in ("words.py", "oracle.py")
+        if path.name != "oracle.py"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Call)
         and (getattr(node.func, "attr", None) in scans or getattr(node.func, "id", None) in scans)
     ]
-    assert found == [], f"exhaustive word scans outside words.py and oracle.py: {', '.join(found)}"
+    assert found == [], f"exhaustive word scans outside oracle.py: {', '.join(found)}"
 
 
 def test_no_unused_imports():
@@ -92,12 +92,9 @@ def test_cli_handlers_leave_the_exit_status_to_main():
 def test_rotation_scans_and_oracle_imports_stay_in_their_modules():
     # the list of every rotation is a brute-force reference: only oracle.py
     # defines or calls it, and only the CLI and the package's re-exports
-    # import oracle.  Three references outside oracle stay on purpose:
-    # codes.in_code_star and conjugacy.nyldon_conjugate_bruteforce, which
-    # bench/ looks up by module (`conjugate --verify` also runs the second),
-    # and codes.nyldon_comma_free_classification, the closed-form answer
-    # the comma-free CLI path gives.  bench/ also looks up the bounded
-    # search codes.is_circular_bounded by module.
+    # import oracle (the next test names the references that stay outside
+    # it, and why).  bench/ also looks up the bounded search
+    # codes.is_circular_bounded by module.
     rotation_uses, oracle_imports = [], []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -123,11 +120,17 @@ def test_rotation_scans_and_oracle_imports_stay_in_their_modules():
 def test_test_only_references_live_in_oracle():
     # these have only test, demo, acceptance or benchmark-table callers, so
     # they are references: oracle.py alone defines them, and the package
-    # still re-exports each, so `from nyldon import ...` keeps working
+    # still re-exports each, so `from nyldon import ...` keeps working.
+    # Three test-only references stay outside oracle because
+    # bench/tracer.py's LAYERS looks them up by module:
+    # codes.in_code_star, codes.is_comma_free_uniform and
+    # conjugacy.nyldon_conjugate_bruteforce (`conjugate --verify` also
+    # runs the last).
     import nyldon
 
     moved = {"apply_permutation", "reverse_permutation", "forbidden_prefix_family",
-             "nyldon_comma_free_table"}
+             "nyldon_comma_free_table", "words_of_length", "words_upto",
+             "lazard_stepcount_nyldon"}
     homes = sorted(
         f"{path.name}:{node.name}"
         for path in sorted(SRC.glob("*.py"))

@@ -15,6 +15,8 @@ from nyldon import (
     is_primitive,
     reverse_permutation,
     rotations,
+    words_of_length,
+    words_upto,
 )
 
 A2 = Alphabet(2)
@@ -46,7 +48,7 @@ def is_power(w):
 
 
 def test_primitivity_matches_power_definition():
-    for w in itertools.chain(A2.words_upto(10), A3.words_upto(7)):
+    for w in itertools.chain(words_upto(A2, 10), words_upto(A3, 7)):
         assert is_primitive(w) == (not is_power(w))
 
 
@@ -85,7 +87,7 @@ def test_primitivity_at_lengths_with_few_and_many_prime_factors(w):
 
 
 def test_primitive_iff_unique_among_rotations():
-    for w in A2.words_upto(8):
+    for w in words_upto(A2, 8):
         assert is_primitive(w) == (rotations(w).count(w) == 1)
 
 
@@ -134,14 +136,14 @@ def test_alphabet_letters_and_validate():
 
 
 def test_words_of_length_is_lexicographic_and_complete():
-    words = list(A2.words_of_length(3))
+    words = list(words_of_length(A2, 3))
     assert len(words) == 8
     assert words == sorted(words)
     assert words[0] == (0, 0, 0) and words[-1] == (1, 1, 1)
 
 
 def test_words_upto_orders_by_length_then_lex():
-    words = list(A2.words_upto(3))
+    words = list(words_upto(A2, 3))
     assert len(words) == 2 + 4 + 8
     assert words == sorted(words, key=lambda w: (len(w), w))
 
@@ -151,7 +153,7 @@ def test_parse_format_round_trip():
     # empty word is the empty string either way
     for k in range(1, 13):
         alphabet, sep = Alphabet(k), "" if k <= 10 else ","
-        for w in itertools.chain([()], alphabet.words_upto(4 if k <= 10 else 3)):
+        for w in itertools.chain([()], words_upto(alphabet, 4 if k <= 10 else 3)):
             assert alphabet.format(w) == sep.join(map(str, w))
             assert alphabet.parse(alphabet.format(w)) == w
 
